@@ -131,7 +131,7 @@ class BankBase : public gpu::L2Bank {
   /// Announces an implementation deadline at @p when: lowers the cached
   /// deadline that gates maintenance() (and feeds next_event_cycle()).
   /// Stale-low values are safe (one extra no-op maintenance call); every
-  /// site that schedules a deadline — queue push, rotation trigger — must
+  /// site that schedules a deadline — timer arm, rotation trigger — must
   /// call this, or the deadline could be skipped entirely.
   void sched_impl_event(Cycle when) noexcept {
     if (when < maint_next_) maint_next_ = when;

@@ -23,14 +23,13 @@
 // miss probes the other serially) or parallel (both probed at once).
 #pragma once
 
-#include <queue>
-
 #include "cache/tag_array.hpp"
 #include "cache/write_stats.hpp"
 #include "power/array_model.hpp"
 #include "sttl2/bank_base.hpp"
 #include "sttl2/config.hpp"
 #include "sttl2/fault_model.hpp"
+#include "sttl2/line_timers.hpp"
 #include "sttl2/retention.hpp"
 #include "sttl2/rewrite_tracker.hpp"
 
@@ -112,6 +111,15 @@ class TwoPartBank final : public BankBase {
   const FaultModel& lr_faults() const noexcept { return lr_faults_; }
   const FaultModel& hr_faults() const noexcept { return hr_faults_; }
 
+  /// Armed retention timers: at most one per line of each part.
+  struct LiveTimers {
+    std::size_t lr_refresh;
+    std::size_t hr_expiry;
+  };
+  LiveTimers live_timers() const noexcept {
+    return {refresh_timers_.size(), hr_expiry_timers_.size()};
+  }
+
  protected:
   void process_request(const gpu::L2Request& request, Cycle now) override;
   void process_fill(Addr line_addr, Cycle now) override;
@@ -119,14 +127,6 @@ class TwoPartBank final : public BankBase {
   Cycle impl_next_event() const override;
 
  private:
-  struct TimedLineRef {
-    Cycle when;
-    std::uint64_t set;
-    unsigned way;
-    Cycle deadline;  ///< entry valid only if it matches the line's deadline
-    bool operator>(const TimedLineRef& o) const noexcept { return when > o.when; }
-  };
-
   void service(const gpu::L2Request& request, Cycle now, bool replay);
   /// Write into an LR-resident line (way known).
   Cycle lr_write_hit(Addr line_addr, unsigned way, Cycle now);
@@ -209,8 +209,8 @@ class TwoPartBank final : public BankBase {
   BufferWindow hr2lr_;
   BufferWindow lr2hr_;
 
-  std::priority_queue<TimedLineRef, std::vector<TimedLineRef>, std::greater<>> refresh_q_;
-  std::priority_queue<TimedLineRef, std::vector<TimedLineRef>, std::greater<>> hr_expiry_q_;
+  LineTimers refresh_timers_;    ///< one per LR line: refresh due
+  LineTimers hr_expiry_timers_;  ///< one per HR line: retention deadline
 
   RewriteTracker lr_rewrites_;
   RewriteTracker hr_rewrites_;

@@ -30,6 +30,7 @@ UniformBank::UniformBank(unsigned bank_id, const UniformBankConfig& config,
       data_(config.subbanks),
       // SRAM cells (retention_s == 0) force the model inert inside the ctor.
       faults_(config.faults, config.cell.retention_s, clock, bank_id),
+      expiry_(tags_.geometry().num_sets(), tags_.geometry().associativity()),
       rewrites_(clock),
       write_var_(tags_.geometry().num_sets(), tags_.geometry().associativity()) {
   tag_lat_ = clock_.cycles_for_ns(costs_.tag_latency_ns);
@@ -65,14 +66,14 @@ UniformBank::UniformBank(unsigned bank_id, const UniformBankConfig& config,
 }
 
 Cycle UniformBank::impl_next_event() const {
-  // Possibly-stale entries are fine: the tick at entry.deadline pops and
-  // discards them, exactly as the per-cycle loop does.
-  return expiry_.empty() ? kNoCycle : expiry_.top().deadline;
+  // A timer whose line was invalidated is fine: the tick at its deadline
+  // pops and discards it, exactly as the per-cycle loop does.
+  return expiry_.next_when();
 }
 
 void UniformBank::schedule_expiry(std::uint64_t set, unsigned way, Cycle deadline) {
   if (retention_cycles_ == 0) return;
-  expiry_.push({deadline, set, way});
+  expiry_.arm(set, way, deadline, deadline);
   sched_impl_event(deadline);
 }
 
@@ -243,12 +244,12 @@ void UniformBank::process_fill(Addr line_addr, Cycle now) {
 }
 
 void UniformBank::maintenance(Cycle now) {
-  while (!expiry_.empty() && expiry_.top().deadline <= now) {
-    const ExpiryEntry e = expiry_.top();
+  while (expiry_.next_when() <= now) {
+    const LineTimers::Timer e = expiry_.top();
     expiry_.pop();
     if (!tags_.valid(e.set, e.way)) continue;  // stale
     cache::LineMeta& line = tags_.line(e.set, e.way);
-    if (line.retention_deadline != e.deadline) continue;  // stale
+    if (line.retention_deadline != e.stamp) continue;  // stale
     const Addr addr = tags_.addr_of(e.set, e.way);
     if (line.dirty) {
       data_.occupy(addr, now, read_occ_);

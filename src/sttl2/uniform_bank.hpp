@@ -9,14 +9,13 @@
 // Policy: write-back, write-allocate (fetch-on-write), LRU.
 #pragma once
 
-#include <queue>
-
 #include "cache/tag_array.hpp"
 #include "cache/write_stats.hpp"
 #include "power/array_model.hpp"
 #include "sttl2/bank_base.hpp"
 #include "sttl2/config.hpp"
 #include "sttl2/fault_model.hpp"
+#include "sttl2/line_timers.hpp"
 #include "sttl2/rewrite_tracker.hpp"
 
 namespace sttgpu::sttl2 {
@@ -41,6 +40,9 @@ class UniformBank final : public BankBase {
   /// Fault-injection stream (auto-inert for SRAM cells or when disabled).
   const FaultModel& faults() const noexcept { return faults_; }
 
+  /// Armed retention-expiry timers: at most one per line.
+  std::size_t live_timers() const noexcept { return expiry_.size(); }
+
  protected:
   void process_request(const gpu::L2Request& request, Cycle now) override;
   void process_fill(Addr line_addr, Cycle now) override;
@@ -48,13 +50,6 @@ class UniformBank final : public BankBase {
   Cycle impl_next_event() const override;
 
  private:
-  struct ExpiryEntry {
-    Cycle deadline;
-    std::uint64_t set;
-    unsigned way;
-    bool operator>(const ExpiryEntry& o) const noexcept { return deadline > o.deadline; }
-  };
-
   void write_line(cache::LineMeta& line, std::uint64_t set, unsigned way, Cycle now);
   void schedule_expiry(std::uint64_t set, unsigned way, Cycle deadline);
 
@@ -83,7 +78,7 @@ class UniformBank final : public BankBase {
   Cycle write_occ_;
   Cycle retention_cycles_ = 0;  // 0 => non-volatile at simulation horizons
 
-  std::priority_queue<ExpiryEntry, std::vector<ExpiryEntry>, std::greater<>> expiry_;
+  LineTimers expiry_;  ///< one per line: retention deadline (volatile cells)
   RewriteTracker rewrites_;
   cache::WriteVariationTracker write_var_;
   double write_energy_scale_ = 1.0;  ///< EWT factor (1.0 when disabled)

@@ -383,6 +383,48 @@ TEST(FaultEndToEnd, FullRunInjectionMatchesReliabilityPrediction) {
   EXPECT_EQ(s.collapses, s.ecc_corrected + s.clean_refetch + s.data_loss);
 }
 
+// Exact store rows of two accelerated fault runs. Which line draws which
+// fault RNG value follows the order in which refresh and expiry trials pop
+// and demand hits probe, so these pin that order: any change to it moves
+// the fault counters and, through the recovery writes, the timing.
+struct PinnedFaultRun {
+  store::ResultRow row;
+  std::uint64_t ecc_corrected, data_loss, wv_retries;
+};
+
+TEST(FaultEndToEnd, AcceleratedFaultRunsMatchPinnedRows) {
+  const PinnedFaultRun pinned[] = {
+      {{"C1", "mum", 0.56856800394838891, 28366, 0.38290537517551548, 0.049569530879999997,
+        0.43247490605551547, 0.03007346189164371, 0.97187786960514233},
+       4, 64, 2572},
+      {{"C3", "bfs", 1.0908887019904683, 17835, 0.70622143199930076, 0.032305789440000003,
+        0.73852722143930072, 0.47650808858753729, 0.63968014150421937},
+       1461, 1678, 2952},
+  };
+  FaultInjectionConfig faults = enabled_cfg();
+  faults.accel = 1000.0;
+  for (const PinnedFaultRun& p : pinned) {
+    SCOPED_TRACE(p.row.arch + "/" + p.row.benchmark);
+    const sim::ArchSpec spec = sim::make_arch(sim::architecture_from_string(p.row.arch));
+    const workload::Workload w = workload::make_benchmark(p.row.benchmark, /*scale=*/0.1);
+    gpu::RunResult run;
+    const store::ResultRow r =
+        sim::to_store_row(sim::run_one_detailed(spec, w, run, {.faults = faults}));
+    EXPECT_EQ(r.arch, p.row.arch);
+    EXPECT_EQ(r.benchmark, p.row.benchmark);
+    EXPECT_EQ(r.ipc, p.row.ipc);
+    EXPECT_EQ(r.cycles, p.row.cycles);
+    EXPECT_EQ(r.dynamic_w, p.row.dynamic_w);
+    EXPECT_EQ(r.leakage_w, p.row.leakage_w);
+    EXPECT_EQ(r.total_w, p.row.total_w);
+    EXPECT_EQ(r.write_share, p.row.write_share);
+    EXPECT_EQ(r.miss_rate, p.row.miss_rate);
+    EXPECT_EQ(run.l2_counters.get("fault_ecc_corrected"), p.ecc_corrected);
+    EXPECT_EQ(run.l2_counters.get("fault_data_loss"), p.data_loss);
+    EXPECT_EQ(run.l2_counters.get("fault_wv_retries"), p.wv_retries);
+  }
+}
+
 TEST(FaultEndToEnd, DisabledFaultsLeaveRunResultUntouched) {
   sim::ArchSpec spec = sim::make_arch(sim::architecture_from_string("C1"));
   const workload::Workload w = workload::make_benchmark("bfs", /*scale=*/0.05);

@@ -3,6 +3,9 @@
 // LR associativity and buffer size.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "bank_harness.hpp"
 #include "common/rng.hpp"
 
@@ -11,12 +14,22 @@ namespace {
 
 using Harness = sttgpu::testing::TwoPartHarness;
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// must have no padding: uninitialised padding bytes after the one-byte policy
+// made the test names differ from run to run.
 struct ParamCase {
   SearchPolicy search;
+  std::uint8_t zero[3];
   unsigned threshold;
   unsigned lr_assoc;  // 0 = fully associative
   unsigned buffer_lines;
 };
+static_assert(std::has_unique_object_representations_v<ParamCase>);
+
+ParamCase make_case(SearchPolicy search, unsigned threshold, unsigned lr_assoc,
+                    unsigned buffer_lines) {
+  return ParamCase{search, {}, threshold, lr_assoc, buffer_lines};
+}
 
 std::string case_name(const ::testing::TestParamInfo<ParamCase>& info) {
   const ParamCase& p = info.param;
@@ -96,16 +109,16 @@ TEST_P(TwoPartSweep, DeterministicReplay) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, TwoPartSweep,
-    ::testing::Values(ParamCase{SearchPolicy::kSequential, 1, 2, 10},
-                      ParamCase{SearchPolicy::kParallel, 1, 2, 10},
-                      ParamCase{SearchPolicy::kSequential, 3, 2, 10},
-                      ParamCase{SearchPolicy::kSequential, 7, 2, 10},
-                      ParamCase{SearchPolicy::kSequential, 1, 1, 10},
-                      ParamCase{SearchPolicy::kSequential, 1, 4, 10},
-                      ParamCase{SearchPolicy::kSequential, 1, 0, 10},
-                      ParamCase{SearchPolicy::kSequential, 1, 2, 1},
-                      ParamCase{SearchPolicy::kSequential, 1, 2, 2},
-                      ParamCase{SearchPolicy::kParallel, 3, 0, 2}),
+    ::testing::Values(make_case(SearchPolicy::kSequential, 1, 2, 10),
+                      make_case(SearchPolicy::kParallel, 1, 2, 10),
+                      make_case(SearchPolicy::kSequential, 3, 2, 10),
+                      make_case(SearchPolicy::kSequential, 7, 2, 10),
+                      make_case(SearchPolicy::kSequential, 1, 1, 10),
+                      make_case(SearchPolicy::kSequential, 1, 4, 10),
+                      make_case(SearchPolicy::kSequential, 1, 0, 10),
+                      make_case(SearchPolicy::kSequential, 1, 2, 1),
+                      make_case(SearchPolicy::kSequential, 1, 2, 2),
+                      make_case(SearchPolicy::kParallel, 3, 0, 2)),
     case_name);
 
 }  // namespace
