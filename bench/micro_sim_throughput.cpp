@@ -1,5 +1,6 @@
 // Simulator-throughput microbenchmark: simulated cycles per wall-second,
-// with the event-driven fast-forward on vs. off.
+// event-driven stepping (fastforward=1) vs. the plain reference loop
+// (fastforward=0).
 //
 //   ./micro_sim_throughput [scale=1.0] [reps=3] [json=BENCH_sim_throughput.json]
 //
@@ -8,8 +9,8 @@
 //     inflated DRAM latency) whose execution is dominated by long quiescent
 //     waits — the case the fast-forward exists for. Expect a large speedup.
 //   - busy: the standard C1/bfs benchmark, where some component has work on
-//     almost every cycle — measures that the skip scan stays off the
-//     critical path (expect ~1.0x, i.e. no regression).
+//     almost every cycle — measures that the event lanes and the skip scan
+//     stay off the critical path (expect ~1.0x, i.e. no regression).
 //
 // Every (workload, mode) pair is also checked for identical simulated cycle
 // counts and instruction counts — the fast-forward must not change results.
@@ -64,13 +65,12 @@ struct Sample {
 };
 
 Sample measure(const sim::ArchSpec& spec, const workload::Workload& w, unsigned reps,
-               bool fast_forward, unsigned hotpath = 2) {
+               bool fast_forward) {
   Sample best;
   for (unsigned r = 0; r < reps; ++r) {
     gpu::RunResult run;
     const auto t0 = std::chrono::steady_clock::now();
-    (void)sim::run_one_detailed(spec, w, run,
-                                {.fast_forward = fast_forward, .hotpath = hotpath});
+    (void)sim::run_one_detailed(spec, w, run, {.fast_forward = fast_forward});
     const auto t1 = std::chrono::steady_clock::now();
     const double wall = std::chrono::duration<double>(t1 - t0).count();
     if (r == 0 || wall < best.wall_s) {
@@ -132,26 +132,6 @@ int main(int argc, char** argv) {
                    "micro_sim_throughput: fastforward changed results on " + c.name);
     row.speedup = row.off.wall_s > 0.0 ? row.off.wall_s / row.on.wall_s : 0.0;
     rows.push_back(row);
-  }
-
-  // Hot-path level sweep on the busy kernel: level 0 (plain per-cycle loop)
-  // vs level 2 (event wheel), both at ff=0/ff=1 like the main rows. Results
-  // must be byte-identical across levels — only wall time may differ. The
-  // headline busy row above stays first (CI's floor check keys off it).
-  {
-    const Case& busy = cases.back();
-    const Sample headline = rows.back().off;
-    for (const unsigned level : {0u, 1u}) {
-      Row row;
-      row.workload = "hotpath=" + std::to_string(level) + " busy(C1/bfs)";
-      row.off = measure(busy.spec, busy.w, reps, /*fast_forward=*/false, level);
-      row.on = measure(busy.spec, busy.w, reps, /*fast_forward=*/true, level);
-      STTGPU_REQUIRE(row.off.cycles == headline.cycles &&
-                         row.off.instructions == headline.instructions,
-                     "micro_sim_throughput: hotpath level changed busy results");
-      row.speedup = row.off.wall_s > 0.0 ? row.off.wall_s / row.on.wall_s : 0.0;
-      rows.push_back(row);
-    }
   }
 
   std::cout << "Simulator throughput (simulated cycles per wall-second, best of " << reps

@@ -1,6 +1,5 @@
 #include "gpu/gpu.hpp"
 
-#include <bit>
 #include <sstream>
 
 #include "common/cancel.hpp"
@@ -44,42 +43,12 @@ Gpu::Gpu(const GpuConfig& config, L2BankFactory& l2_factory)
       const unsigned b = bank_of(addr);
       const Cycle arrival = icnt_.send_request(b, req, now_);
       if (arrival < bank_lane_[b]) bank_lane_[b] = arrival;
-      if (hot_level_ >= 2) {
-        // Sends fired outside a step (L1 flush at now_) must land this very
-        // cycle when the fabric is latency-free; the wheel's clamp would
-        // defer them to the next pop, so arm due_now_mask_ out of band.
-        // Next-cycle arrivals ride the same mask: it is consumed by the
-        // very next pop, which skips the wheel's bucket round trip for the
-        // back-to-back case.
-        if (arrival <= now_ + 1) {
-          due_now_mask_ |= 1ull << b;
-        } else {
-          wheel_->post(b, arrival);
-        }
-      }
       return id;
     });
   }
-  // Everything is "due" at cycle 0; the first hot step recomputes each lane.
+  // Everything is "due" at cycle 0; the first tick_due() recomputes each lane.
   bank_lane_.assign(config_.num_l2_banks, 0);
   sm_lane_.assign(config_.num_sms, 0);
-  hot_level_ = config_.hotpath;
-  if (hot_level_ >= 2) {
-    const unsigned ids = config_.num_l2_banks + config_.num_sms;
-    if (ids <= sim::EventWheel::kMaxIds) {
-      wheel_.emplace(ids);
-      sm_id_base_ = config_.num_l2_banks;
-      bank_mask_ = (config_.num_l2_banks == 64)
-                       ? ~0ull
-                       : ((1ull << config_.num_l2_banks) - 1);
-      sm_mask_ = ((ids == 64) ? ~0ull : ((1ull << ids) - 1)) & ~bank_mask_;
-      due_now_mask_ = bank_mask_ | sm_mask_;  // everything due at cycle 0
-      sm_acct_.assign(config_.num_sms, 0);
-    } else {
-      hot_level_ = 1;  // wheel ids overflow a 64-bit due mask: fall back
-    }
-  }
-  if (config_.tick_jobs > 1) tick_pool_ = std::make_unique<TickPool>(config_.tick_jobs);
   if (config_.telemetry != nullptr) {
     tel_ = config_.telemetry;
     STTGPU_REQUIRE(tel_->frame_count() == 0 && !tel_->in_frame(),
@@ -136,24 +105,10 @@ std::string Gpu::state_dump() const {
   os << "\n    icnt express/queued: requests " << icnt_.request_express() << '/'
      << icnt_.request_queued() << ", responses " << icnt_.response_express() << '/'
      << icnt_.response_queued();
-  if (wheel_.has_value()) {
-    // The wheel cannot be mutated here (state_dump is const), so report the
-    // cheap O(1) gauges; a stale far-heap top only matters for the next
-    // deadline, which pop/next_deadline prune on the hot path.
-    os << "\n    wheel: posted ids " << wheel_->posted_ids() << ", occupied buckets "
-       << wheel_->occupied_buckets() << " (high water " << wheel_->bucket_high_water()
-       << "), far heap " << wheel_->far_size() << " (high water "
-       << wheel_->far_high_water() << "), due-now mask 0x" << std::hex << due_now_mask_
-       << std::dec;
-  }
   return os.str();
 }
 
 void Gpu::telemetry_sample(Cycle at) {
-  // The sampled SM counters must cover every cycle before the boundary, so
-  // deferred accounting is flushed first — the series stays byte-identical
-  // with the per-cycle accounting the lower hotpath levels do.
-  if (hot_level_ >= 2) flush_sm_accounting(at);
   tel_->begin_frame(at);
   for (const auto& sm : sms_) sm->sample_telemetry(*tel_);
   for (auto& bank : banks_) bank->sample_telemetry(at, *tel_);
@@ -167,14 +122,22 @@ unsigned Gpu::bank_of(Addr addr) const noexcept {
 }
 
 void Gpu::step() {
-  if (hot_level_ >= 2) {
-    step_hot2();
-    return;
+  if (config_.fast_forward) {
+    tick_due();
+  } else {
+    tick_all();
   }
-  if (hot_level_ == 1) {
-    step_hot();
-    return;
+  ++now_;
+  // Interval boundary: every cycle < now_ is fully processed, cycle now_ has
+  // not started — the exact state the fast-forward walk reproduces.
+  // tel_next_ is kNoCycle when telemetry is off, so this never fires then.
+  if (now_ == tel_next_) {
+    telemetry_sample(now_);
+    tel_next_ += tel_interval_;
   }
+}
+
+void Gpu::tick_all() {
   // Memory side first so that this cycle's completions can wake warps.
   for (unsigned b = 0; b < banks_.size(); ++b) {
     icnt_.deliver_requests(
@@ -193,19 +156,11 @@ void Gpu::step() {
     });
     sms_[s]->cycle(now_, senders_[s]);
   }
-  ++now_;
-  // Interval boundary: every cycle < now_ is fully processed, cycle now_ has
-  // not started — the exact state the fast-forward walk reproduces.
-  // tel_next_ is kNoCycle when telemetry is off, so this never fires then.
-  if (now_ == tel_next_) {
-    telemetry_sample(now_);
-    tel_next_ += tel_interval_;
-  }
 }
 
-void Gpu::step_hot() {
-  // Same phase order as the plain step(); each skipped call is a no-op by
-  // the conservative-next-event contract (nothing delivered, nothing due).
+void Gpu::tick_due() {
+  // Same phase order as tick_all(); each skipped call is a no-op by the
+  // conservative-next-event contract (nothing delivered, nothing due).
   due_banks_.clear();
   for (unsigned b = 0; b < banks_.size(); ++b) {
     if (bank_lane_[b] <= now_) due_banks_.push_back(b);
@@ -215,20 +170,9 @@ void Gpu::step_hot() {
         b, now_, [&] { return banks_[b]->accepting(); },
         [&](const L2Request& req) { banks_[b]->enqueue(req, now_); });
   }
-  // Due bank partitions are pairwise independent (private DRAM channel,
-  // private queues), so the tick batch may fan out onto the pool. With a
-  // telemetry sink attached the banks share it for timeline events, so the
-  // batch stays sequential — attaching telemetry never changes results
-  // either way.
-  const auto tick_bank = [this](unsigned i) {
-    const unsigned b = due_banks_[i];
+  for (const unsigned b : due_banks_) {
     dram_[b]->tick(now_);
     banks_[b]->tick(now_);
-  };
-  if (tick_pool_ != nullptr && tel_ == nullptr && due_banks_.size() > 1) {
-    tick_pool_->run(static_cast<unsigned>(due_banks_.size()), tick_bank);
-  } else {
-    for (unsigned i = 0; i < due_banks_.size(); ++i) tick_bank(i);
   }
   response_scratch_.clear();
   for (const unsigned b : due_banks_) {
@@ -261,170 +205,18 @@ void Gpu::step_hot() {
     const Cycle resp_next = icnt_.next_response_arrival(s);
     sm_lane_[s] = sm_next < resp_next ? sm_next : resp_next;
   }
-  ++now_;
-  if (now_ == tel_next_) {
-    telemetry_sample(now_);
-    tel_next_ += tel_interval_;
-  }
 }
 
-void Gpu::step_hot2() {
-  // Same phase order as step_hot(), but the due set comes from the wheel:
-  // one pop yields the exact components with something at or before now_
-  // (plus out-of-band arrivals armed via due_now_mask_ and any stranded
-  // stale entries, whose spurious wakes are no-op ticks by the same
-  // conservative contract the lanes rely on).
-  std::uint64_t due = wheel_->pop_due(now_) | due_now_mask_;
-  due_now_mask_ = 0;
-
-  due_banks_.clear();
-  for (std::uint64_t bits = due & bank_mask_; bits != 0; bits &= bits - 1) {
-    due_banks_.push_back(static_cast<unsigned>(std::countr_zero(bits)));
-  }
-  for (const unsigned b : due_banks_) {
-    icnt_.deliver_requests(
-        b, now_, [&] { return banks_[b]->accepting(); },
-        [&](const L2Request& req) { banks_[b]->enqueue(req, now_); });
-  }
-  const auto tick_bank = [this](unsigned i) {
-    const unsigned b = due_banks_[i];
-    dram_[b]->tick(now_);
-    banks_[b]->tick(now_);
-  };
-  if (tick_pool_ != nullptr && tel_ == nullptr && due_banks_.size() > 1) {
-    tick_pool_->run(static_cast<unsigned>(due_banks_.size()), tick_bank);
-  } else {
-    for (unsigned i = 0; i < due_banks_.size(); ++i) tick_bank(i);
-  }
-  response_scratch_.clear();
-  for (const unsigned b : due_banks_) {
-    banks_[b]->drain_responses(now_, response_scratch_);
-    const Cycle dram_next = dram_[b]->next_event_cycle();
-    const Cycle bank_next = banks_[b]->next_event_cycle();
-    Cycle lane = icnt_.next_request_arrival(b);
-    if (dram_next < lane) lane = dram_next;
-    if (bank_next < lane) lane = bank_next;
-    // Due-next components ride due_now_mask_ (consumed by the very next
-    // pop), skipping a wheel bucket round trip for the dominant
-    // back-to-back case; deadlines at or before now_ (e.g. a backpressured
-    // queue front) fold into the same mask — exactly the wheel's clamp.
-    if (lane <= now_ + 1) {
-      due_now_mask_ |= 1ull << b;
-    } else if (lane != kNoCycle) {
-      wheel_->post(b, lane);
-    }
-  }
-  std::uint64_t sm_bits = due & sm_mask_;
-  for (const L2Response& resp : response_scratch_) {
-    const Cycle arrival = icnt_.send_response(resp, now_);
-    const unsigned id = sm_id_base_ + resp.sm_id;
-    if (arrival <= now_) {
-      sm_bits |= 1ull << id;  // latency-free fabric: deliver this cycle
-    } else if (arrival == now_ + 1) {
-      due_now_mask_ |= 1ull << id;
-    } else {
-      wheel_->post(id, arrival);
-    }
-  }
-  while (sm_bits != 0) {
-    const unsigned id = static_cast<unsigned>(std::countr_zero(sm_bits));
-    sm_bits &= sm_bits - 1;
-    const unsigned s = id - sm_id_base_;
-    // Catch up the idle/stall accounting for the skipped stretch, with the
-    // state the SM had throughout it (nothing mutates an inactive SM, so
-    // the per-cycle classification is constant over the gap). cycle()
-    // accounts the current cycle itself.
-    if (now_ > sm_acct_[s]) {
-      sms_[s]->account_skipped_cycles(now_ - sm_acct_[s]);
-    }
-    sm_acct_[s] = now_ + 1;
-    // Batch-drain: all of this SM's same-cycle responses in one call, so the
-    // stalled-walk recheck runs once per batch (see Sm::on_responses for the
-    // monotonicity argument that makes this byte-identical).
-    sm_resp_scratch_.clear();
-    icnt_.deliver_responses(s, now_, [&](const L2Response& resp) {
-      sm_resp_scratch_.push_back(resp);
-    });
-    if (!sm_resp_scratch_.empty()) {
-      sms_[s]->on_responses(sm_resp_scratch_.data(), sm_resp_scratch_.size(), now_,
-                            senders_[s]);
-    }
-    sms_[s]->cycle(now_, senders_[s]);
-    const Cycle sm_next = sms_[s]->next_event_cycle();
-    const Cycle resp_next = icnt_.next_response_arrival(s);
-    const Cycle lane = sm_next < resp_next ? sm_next : resp_next;
-    if (lane <= now_ + 1) {
-      due_now_mask_ |= 1ull << id;
-    } else if (lane != kNoCycle) {
-      wheel_->post(id, lane);
-    }
-  }
-  ++now_;
-  if (now_ == tel_next_) {
-    telemetry_sample(now_);
-    tel_next_ += tel_interval_;
-  }
-}
-
-void Gpu::flush_sm_accounting(Cycle at) {
-  for (unsigned s = 0; s < sms_.size(); ++s) {
-    if (at > sm_acct_[s]) {
-      sms_[s]->account_skipped_cycles(at - sm_acct_[s]);
-      sm_acct_[s] = at;
-    }
-  }
-}
-
-Cycle Gpu::next_event_cycle_hot() const {
+Cycle Gpu::earliest_lane() const {
   Cycle next = kNoCycle;
   for (const Cycle lane : sm_lane_) next = lane < next ? lane : next;
   for (const Cycle lane : bank_lane_) next = lane < next ? lane : next;
   return next;
 }
 
-Cycle Gpu::next_event_cycle() const {
-  // Early-out scan: once the running minimum is <= now_ an event is already
-  // due and no skip is possible, so the exact minimum no longer matters.
-  // SMs go first — on busy cycles a ready warp (next event 0) is the common
-  // case, and bailing on the first one keeps this scan out of the profile.
-  Cycle next = kNoCycle;
-  const auto due = [&](Cycle c) {
-    if (c < next) next = c;
-    return next <= now_;
-  };
-  for (const auto& sm : sms_) {
-    if (due(sm->next_event_cycle())) return next;
-  }
-  for (const auto& bank : banks_) {
-    if (due(bank->next_event_cycle())) return next;
-  }
-  if (due(icnt_.next_event_cycle())) return next;
-  for (const auto& d : dram_) {
-    if (due(d->next_event_cycle())) return next;
-  }
-  return next;
-}
-
 void Gpu::fast_forward() {
-  if (!config_.fast_forward) return;
-  if (hot_level_ >= 2) {
-    // The wheel answers "earliest deadline" in O(1)-ish (circular occupancy
-    // scan), so there is no backoff: every quiescent cycle gets a skip
-    // attempt. Skipped SM idle accounting is deferred (sm_acct_), so only
-    // telemetry boundaries need closed-form walking here — each sample
-    // flushes the accounting up to its own boundary.
-    if (due_now_mask_ != 0) return;
-    const Cycle next = wheel_->next_deadline();
-    if (next == kNoCycle || next <= now_) return;
-    while (tel_next_ <= next) {
-      telemetry_sample(tel_next_);
-      tel_next_ += tel_interval_;
-    }
-    now_ = next;
-    return;
-  }
-  if (now_ < ff_next_try_) return;
-  const Cycle next = hot_level_ != 0 ? next_event_cycle_hot() : next_event_cycle();
+  if (!config_.fast_forward || now_ < ff_next_try_) return;
+  const Cycle next = earliest_lane();
   // kNoCycle (nothing scheduled anywhere) falls through to plain stepping so
   // a livelocked configuration still hits the cycle ceiling diagnostics.
   if (next == kNoCycle || next <= now_) {
@@ -482,9 +274,6 @@ void Gpu::drain_memory() {
 }
 
 void Gpu::run_kernel(const workload::KernelSpec& kernel, std::uint64_t seed) {
-  // start_kernel mutates SM state, so any deferred idle accounting still
-  // carrying the pre-launch classification must be applied first.
-  if (hot_level_ >= 2) flush_sm_accounting(now_);
   const Cycle kernel_start = now_;
   const Occupancy occ = compute_occupancy(kernel, config_);
 
@@ -500,7 +289,6 @@ void Gpu::run_kernel(const workload::KernelSpec& kernel, std::uint64_t seed) {
   }
   // Fresh warps are ready immediately: pull every SM lane down to "due now".
   for (Cycle& lane : sm_lane_) lane = 0;
-  due_now_mask_ |= sm_mask_;  // hotpath=2: arm every SM for this very cycle
 
   const auto all_done = [&] {
     for (const auto& sm : sms_) {
@@ -523,8 +311,6 @@ void Gpu::run_kernel(const workload::KernelSpec& kernel, std::uint64_t seed) {
   if (tel_ != nullptr) tel_->slice("kernel", kernel.name, kernel_start, now_);
 
   // Inter-kernel boundary: L1s are flushed (no coherence across launches).
-  // flush_l1 mutates SM state, so deferred accounting flushes first.
-  if (hot_level_ >= 2) flush_sm_accounting(now_);
   const Cycle drain_start = now_;
   for (unsigned s = 0; s < config_.num_sms; ++s) sms_[s]->flush_l1(now_, senders_[s]);
   drain_memory();
@@ -544,9 +330,6 @@ RunResult Gpu::run(const workload::Workload& workload) {
   // this closing frame is identical too. Skipped when the run happened to
   // end exactly on a sampled boundary.
   if (tel_ != nullptr && now_ > tel_next_ - tel_interval_) telemetry_sample(now_);
-
-  // hotpath=2: idle/stall tallies must cover every cycle before assembly.
-  if (hot_level_ >= 2) flush_sm_accounting(now_);
 
   RunResult r;
   r.cycles = now_;
@@ -582,10 +365,6 @@ RunResult Gpu::run(const workload::Workload& workload) {
   r.sched.icnt_request_queued = icnt_.request_queued();
   r.sched.icnt_response_express = icnt_.response_express();
   r.sched.icnt_response_queued = icnt_.response_queued();
-  if (wheel_.has_value()) {
-    r.sched.wheel_bucket_high_water = wheel_->bucket_high_water();
-    r.sched.wheel_far_high_water = wheel_->far_high_water();
-  }
   return r;
 }
 

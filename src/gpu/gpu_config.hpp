@@ -69,31 +69,14 @@ struct GpuConfig {
   unsigned max_outstanding_load_txn = 64;   ///< per SM
   unsigned max_outstanding_store_txn = 64;  ///< per SM
 
-  /// Event-driven fast-forward: when every component is quiescent, the GPU
-  /// jumps directly to the earliest scheduled event instead of ticking
-  /// cycle-by-cycle. A pure scheduling optimization — all reported metrics
-  /// are identical either way (the equivalence is tested); disable to A/B
-  /// against the plain loop.
+  /// Event-driven stepping: per-component event lanes (one per SM, one per
+  /// L2 bank partition) gate each cycle's component ticks, and when every
+  /// component is quiescent the GPU jumps directly to the earliest scheduled
+  /// event instead of ticking cycle-by-cycle. A pure scheduling optimization
+  /// — all reported metrics are identical either way (the equivalence is
+  /// tested); disable to run the plain reference loop, which ticks every
+  /// component every cycle.
   bool fast_forward = true;
-
-  /// Hot-path stepping level. 0: plain per-cycle loop over every component.
-  /// 1: per-component event lanes (one per SM, one per L2 bank partition)
-  /// gate the per-cycle component ticks, so a busy cycle only touches
-  /// components with something actually due. 2 (default): a hierarchical
-  /// event wheel replaces the per-cycle lane min-scan — each cycle pops the
-  /// exact due set, skipped SMs get their idle/stall accounting in deferred
-  /// batches, and fast-forward reads the wheel's next deadline in O(1).
-  /// Like fast_forward this is a pure scheduling optimization — every
-  /// skipped call is provably a no-op and all reported metrics are
-  /// byte-identical across levels (tested); lower to A/B against the
-  /// simpler loops. Levels above 2 behave as 2.
-  unsigned hotpath = 2;
-
-  /// Worker threads for the per-cycle L2 bank tick batch (hotpath mode
-  /// only; 1 = sequential). Banks own disjoint state (private DRAM channel,
-  /// private queues), so any thread count produces bit-identical results;
-  /// >1 trades per-cycle wake overhead for parallelism on wide configs.
-  unsigned tick_jobs = 1;
 
   /// Optional interval-telemetry sink (not owned; must outlive the Gpu).
   /// Purely observational: attaching one never changes simulated results,

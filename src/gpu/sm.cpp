@@ -378,12 +378,6 @@ void Sm::on_response(const L2Response& response, Cycle now, const SendTxnFn& sen
   recheck_stall();
 }
 
-void Sm::on_responses(const L2Response* responses, std::size_t n, Cycle now,
-                      const SendTxnFn& send) {
-  for (std::size_t i = 0; i < n; ++i) process_response(responses[i], now, send);
-  if (n != 0) recheck_stall();
-}
-
 void Sm::flush_l1(Cycle now, const SendTxnFn& send) {
   for (const Addr wb : l1_.flush()) send_writeback(wb, now, send);
 }

@@ -69,15 +69,6 @@ class Sm {
   /// Memory response delivered by the interconnect.
   void on_response(const L2Response& response, Cycle now, const SendTxnFn& send);
 
-  /// Batch form: all of this SM's responses for one cycle in arrival order,
-  /// with the stalled-walk recheck run once at the end instead of per
-  /// response. Equivalent to calling on_response() per element: credit and
-  /// MSHR levels only improve across a batch and the recheck predicate is
-  /// monotone in them, so "unstuck after some response" and "unstuck after
-  /// the whole batch" coincide.
-  void on_responses(const L2Response* responses, std::size_t n, Cycle now,
-                    const SendTxnFn& send);
-
   /// End-of-kernel L1 flush; dirty local lines go to L2 as writes.
   void flush_l1(Cycle now, const SendTxnFn& send);
 

@@ -1,5 +1,7 @@
 #include "sim/report.hpp"
 
+#include <algorithm>
+
 #include "common/json.hpp"
 #include "common/telemetry.hpp"
 #include "sttl2/reliability.hpp"
@@ -16,6 +18,9 @@ void add_fault_stream(FaultSummary& s, const sttl2::FaultModel& fm) {
   s.trials += fm.trials();
   s.collapses += fm.collapses();
   s.expected += fm.expected_collapses();
+  const double margin = fm.effective_spec_margin();
+  s.effective_spec_margin = std::min(s.effective_spec_margin, margin);
+  if (margin < 1.0) return;  // outside analyze_reliability's domain
   // Re-score the injector's own lifetime histogram with the analytic model:
   // refresh_period 0 because realized lifetimes are already refresh-truncated.
   s.predicted += sttl2::analyze_reliability(fm.lifetimes_ns(), fm.retention_s(),
@@ -138,9 +143,8 @@ void write_run_json(std::ostream& os, const Metrics& metrics, const gpu::RunResu
   w.end_object();
 
   // Transport/scheduler observability: express vs queued splits are
-  // contention facts of the simulated machine (identical at every hotpath
-  // level); the wheel high-water marks describe the hotpath=2 scheduler and
-  // read zero at lower levels.
+  // contention facts of the simulated machine, identical with and without
+  // fast-forward.
   w.key("scheduler").begin_object();
   w.key("icnt_request_express").value(run.sched.icnt_request_express);
   w.key("icnt_request_queued").value(run.sched.icnt_request_queued);
@@ -148,9 +152,6 @@ void write_run_json(std::ostream& os, const Metrics& metrics, const gpu::RunResu
   w.key("icnt_response_queued").value(run.sched.icnt_response_queued);
   w.key("dram_express_reads").value(run.sched.dram_express_reads);
   w.key("dram_queued_reads").value(run.sched.dram_queued_reads);
-  w.key("wheel_bucket_high_water")
-      .value(static_cast<std::uint64_t>(run.sched.wheel_bucket_high_water));
-  w.key("wheel_far_high_water").value(run.sched.wheel_far_high_water);
   w.end_object();
 
   if (faults != nullptr && faults->enabled) {
@@ -158,7 +159,9 @@ void write_run_json(std::ostream& os, const Metrics& metrics, const gpu::RunResu
     w.key("trials").value(faults->trials);
     w.key("injected_collapses").value(faults->collapses);
     w.key("expected_collapses").value(faults->expected);
-    w.key("predicted_collapses").value(faults->predicted);
+    if (faults->has_prediction()) {
+      w.key("predicted_collapses").value(faults->predicted);
+    }
     w.key("ecc_corrected").value(faults->ecc_corrected);
     w.key("ecc_detected").value(faults->ecc_detected);
     w.key("clean_refetch").value(faults->clean_refetch);

@@ -2,6 +2,7 @@
 // plotting / regression tooling outside the repo.
 #pragma once
 
+#include <limits>
 #include <ostream>
 #include <vector>
 
@@ -33,12 +34,18 @@ struct FaultSummary {
   std::uint64_t collapses = 0;  ///< injected retention collapses
   double expected = 0.0;        ///< exact analytic expectation (sum of p_i)
   double predicted = 0.0;       ///< analyze_reliability over the same lifetimes
+  /// Smallest effective spec margin (spec margin / accel) over the streams.
+  /// analyze_reliability only accepts margins >= 1, so above that
+  /// acceleration there is no prediction and `predicted` stays 0.
+  double effective_spec_margin = std::numeric_limits<double>::infinity();
   std::uint64_t ecc_corrected = 0;
   std::uint64_t ecc_detected = 0;
   std::uint64_t clean_refetch = 0;
   std::uint64_t data_loss = 0;
   std::uint64_t wv_retries = 0;
   std::uint64_t wv_escalations = 0;
+
+  bool has_prediction() const noexcept { return effective_spec_margin >= 1.0; }
 };
 
 /// Walks the live GPU's banks (TwoPartBank / UniformBank) and sums their
@@ -48,8 +55,9 @@ FaultSummary collect_fault_summary(gpu::Gpu& g);
 /// A full run with the implementation counters and per-category energy:
 /// {"arch": ..., "benchmark": ..., "metrics": {...}, "counters": {...},
 ///  "energy_pj": {...}}. When @p faults is non-null and enabled, a
-/// "faults" object with the injected/predicted cross-check is appended;
-/// when @p telemetry is non-null its interval time series is appended as a
+/// "faults" object with the injected/predicted cross-check is appended
+/// ("predicted_collapses" only when FaultSummary::has_prediction()); when
+/// @p telemetry is non-null its interval time series is appended as a
 /// "telemetry" object (output is byte-identical to before when both are
 /// absent).
 void write_run_json(std::ostream& os, const Metrics& metrics, const gpu::RunResult& run,

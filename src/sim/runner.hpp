@@ -74,22 +74,12 @@ struct RunOptions {
   /// Matrix worker threads: 0 = hardware concurrency, 1 = sequential.
   unsigned jobs = 1;
 
-  /// Event-driven fast-forward in the simulator core. A pure scheduling
-  /// optimization — results are identical either way (so it is not part of
-  /// the cache fingerprint); `false` exists for A/B validation.
+  /// Event-driven stepping in the simulator core (see
+  /// GpuConfig::fast_forward). A pure scheduling optimization — results are
+  /// identical either way (so it is not part of the cache fingerprint);
+  /// `false` runs the plain reference loop the equivalence tests compare
+  /// against.
   bool fast_forward = true;
-
-  /// Hot-path stepping level (see GpuConfig::hotpath): 0 = plain per-cycle
-  /// loop, 1 = per-component event lanes, 2 = hierarchical event wheel
-  /// (default). Like fast_forward a pure scheduling optimization with
-  /// byte-identical results across levels, excluded from the cache
-  /// fingerprint; lower levels exist for A/B validation.
-  unsigned hotpath = 2;
-
-  /// Worker threads for the per-cycle L2 bank tick batch (hotpath only;
-  /// 1 = sequential). Results are bit-identical at any value, so this too
-  /// stays out of the cache fingerprint.
-  unsigned tick_jobs = 1;
 
   /// In-simulation fault injection on every bank (sttl2/fault_model.hpp).
   /// Unlike fast_forward it changes results, so its knobs ARE part of the

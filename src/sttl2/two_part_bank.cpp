@@ -135,7 +135,7 @@ TwoPartBank::TwoPartBank(unsigned bank_id, const TwoPartBankConfig& config,
 Cycle TwoPartBank::impl_next_event() const {
   // A pending wear rotation fires on the very next maintenance() call, so
   // the bank must keep ticking until it runs: reporting a later event here
-  // would let the fast-forward (and the hot-path tick gating) skip cycles
+  // would let the event-lane tick gating and the fast-forward skip cycles
   // and delay the rotation, shifting every result after it.
   if (config_.lr_wear_leveling && lr_writes_since_rotation_ >= config_.wear_level_period) {
     return 0;

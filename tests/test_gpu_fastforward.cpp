@@ -1,13 +1,22 @@
-// Event-driven fast-forward: equivalence with the plain per-cycle loop
-// (every reported metric must be byte-identical) plus unit tests of each
-// component's next_event_cycle().
+// Event-driven stepping (fastforward=1: event-lane tick gating plus the
+// idle-cycle jump): equivalence with the plain per-cycle reference loop
+// (fastforward=0) — every reported metric must be byte-identical, also with
+// fault injection, with a telemetry sink attached and across GPU shapes
+// (HotpathEquivalence) — plus unit tests of each component's
+// next_event_cycle().
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "bank_harness.hpp"
+#include "common/telemetry.hpp"
 #include "gpu/gpu.hpp"
 #include "gpu/interconnect.hpp"
 #include "gpu/sm.hpp"
+#include "sim/arch.hpp"
+#include "sim/runner.hpp"
 #include "sttl2/factories.hpp"
+#include "workload/benchmarks.hpp"
 
 namespace sttgpu::gpu {
 namespace {
@@ -145,6 +154,110 @@ TEST(FastForwardEquivalence, TwoPartBankWithAllEventSources) {
     SCOPED_TRACE(sparse ? "sparse" : "tiny");
     expect_identical(run_with(f_off, small_config(false), w),
                      run_with(f_on, small_config(true), w));
+  }
+}
+
+TEST(FastForwardEquivalence, FaultInjectionRunsAreIdentical) {
+  // Fault injection adds seeded per-bank error events; the event-driven loop
+  // must replay them identically (bank partitions own their fault RNGs).
+  const sim::ArchSpec spec = sim::make_arch(sim::Architecture::kC1);
+  const workload::Workload w = workload::make_benchmark("bfs", 0.05);
+  sim::RunOptions opts;
+  opts.faults.enabled = true;
+  opts.faults.seed = 42;
+  opts.faults.accel = 1e3;
+  opts.fast_forward = false;
+  RunResult ref_run;
+  const sim::Metrics ref = sim::run_one_detailed(spec, w, ref_run, opts);
+  opts.fast_forward = true;
+  RunResult run;
+  const sim::Metrics got = sim::run_one_detailed(spec, w, run, opts);
+  expect_identical(ref_run, run);
+  EXPECT_EQ(ref.ipc, got.ipc);
+  EXPECT_EQ(ref.cycles, got.cycles);
+  EXPECT_EQ(ref.dynamic_w, got.dynamic_w);
+  EXPECT_EQ(ref.l2_miss_rate, got.l2_miss_rate);
+}
+
+TEST(FastForwardEquivalence, TelemetryRunsMatchPlainAggregates) {
+  // A telemetry sink is purely observational: with one attached, both loops
+  // must produce the aggregates of the plain loop without one.
+  const sim::ArchSpec spec = sim::make_arch(sim::Architecture::kC1);
+  const workload::Workload w = workload::make_benchmark("bfs", 0.05);
+  sim::RunOptions plain;
+  plain.fast_forward = false;
+  RunResult ref_run;
+  (void)sim::run_one_detailed(spec, w, ref_run, plain);
+  for (const bool fast_forward : {false, true}) {
+    Telemetry tel(10000);
+    sim::RunOptions opts;
+    opts.fast_forward = fast_forward;
+    opts.telemetry = &tel;
+    RunResult run;
+    (void)sim::run_one_detailed(spec, w, run, opts);
+    SCOPED_TRACE(fast_forward ? "fastforward=1" : "fastforward=0");
+    expect_identical(ref_run, run);
+    EXPECT_GT(tel.frame_count(), 0u);
+  }
+}
+
+/// GPU shapes for the event-lane gating checks: each SM and bank has its own
+/// lane in Gpu::tick_due(), so the lanes are exercised with few and many
+/// components, including the paper's 15 SMs x 6 banks.
+struct Shape {
+  unsigned sms;
+  unsigned banks;
+};
+constexpr Shape kShapes[] = {{1, 1}, {4, 2}, {8, 4}, {15, 6}};
+
+GpuConfig shaped_config(const Shape& s, bool fast_forward) {
+  GpuConfig cfg = small_config(fast_forward);
+  cfg.num_sms = s.sms;
+  cfg.num_l2_banks = s.banks;
+  return cfg;
+}
+
+std::string shape_label(const Shape& s, const char* work) {
+  return std::string(work) + " sms=" + std::to_string(s.sms) +
+         " banks=" + std::to_string(s.banks);
+}
+
+TEST(HotpathEquivalence, UniformSramBankAllModes) {
+  sttl2::UniformBankConfig bank;
+  bank.capacity_bytes = 64 * 1024;
+  for (const bool sparse : {false, true}) {
+    const workload::Workload w = sparse ? sparse_workload() : tiny_workload();
+    for (const Shape& s : kShapes) {
+      sttl2::UniformBankFactory f_off(bank, shaped_config(s, false).clock());
+      sttl2::UniformBankFactory f_on(bank, shaped_config(s, true).clock());
+      SCOPED_TRACE(shape_label(s, sparse ? "sparse" : "tiny"));
+      expect_identical(run_with(f_off, shaped_config(s, false), w),
+                       run_with(f_on, shaped_config(s, true), w));
+    }
+  }
+}
+
+TEST(HotpathEquivalence, TwoPartBankWithAllEventSources) {
+  // Refresh queue, HR expiry queue, adaptive-threshold timer and wear
+  // rotation all active at once — every per-component lane has to stay a
+  // conservative lower bound for each of them, whatever the component count.
+  sttl2::TwoPartBankConfig bank;
+  bank.hr_bytes = 32 * 1024;
+  bank.hr_assoc = 4;
+  bank.lr_bytes = 8 * 1024;
+  bank.adaptive_threshold = true;
+  bank.adapt_interval = 2048;
+  bank.lr_wear_leveling = true;
+  bank.wear_level_period = 2000;
+  for (const bool sparse : {false, true}) {
+    const workload::Workload w = sparse ? sparse_workload() : tiny_workload();
+    for (const Shape& s : kShapes) {
+      sttl2::TwoPartBankFactory f_off(bank, shaped_config(s, false).clock());
+      sttl2::TwoPartBankFactory f_on(bank, shaped_config(s, true).clock());
+      SCOPED_TRACE(shape_label(s, sparse ? "sparse" : "tiny"));
+      expect_identical(run_with(f_off, shaped_config(s, false), w),
+                       run_with(f_on, shaped_config(s, true), w));
+    }
   }
 }
 

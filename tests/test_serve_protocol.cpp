@@ -124,8 +124,6 @@ TEST(OptionsJson, RunOptionsRoundTripIsExact) {
   sim::RunOptions opts;
   opts.scale = 0.05;
   opts.fast_forward = false;
-  opts.hotpath = 1;
-  opts.tick_jobs = 3;
   opts.faults.enabled = true;
   opts.faults.seed = 7;
   opts.faults.accel = 2.5;
@@ -140,8 +138,6 @@ TEST(OptionsJson, RunOptionsRoundTripIsExact) {
 
   EXPECT_EQ(back.scale, opts.scale);
   EXPECT_EQ(back.fast_forward, opts.fast_forward);
-  EXPECT_EQ(back.hotpath, opts.hotpath);
-  EXPECT_EQ(back.tick_jobs, opts.tick_jobs);
   EXPECT_EQ(back.faults.enabled, opts.faults.enabled);
   EXPECT_EQ(back.faults.seed, opts.faults.seed);
   EXPECT_EQ(back.faults.accel, opts.faults.accel);
@@ -169,8 +165,6 @@ TEST(OptionsJson, WireDefaultsMatchCliDefaults) {
   const sim::RunOptions opts = sim::run_options_from_knobs(empty, sim::kKnobSubmit);
   EXPECT_EQ(opts.scale, 0.5);
   EXPECT_TRUE(opts.fast_forward);
-  EXPECT_EQ(opts.hotpath, 2u);
-  EXPECT_EQ(opts.tick_jobs, 1u);
   EXPECT_FALSE(opts.faults.enabled);
   EXPECT_EQ(opts.faults.seed, 42u);
   EXPECT_EQ(opts.faults.accel, 1.0);

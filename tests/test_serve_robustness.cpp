@@ -305,6 +305,31 @@ TEST_F(RobustServeTest, JournaledSubmissionIsReplayedOnRestart) {
   EXPECT_EQ(fresh.at("hits").as_int(), 1);  // pure store hit from the replay
 }
 
+TEST_F(RobustServeTest, JournaledSubmissionWithARemovedKnobIsRetired) {
+  // A journal written by an older build that still had the hotpath= knob.
+  // Replay fails knob validation, so the record must be retired instead of
+  // replayed on every restart, and the server must keep serving.
+  const std::string journal_path = Journal::derive_path(dir_.path + "/c.csv");
+  {
+    Journal j(journal_path);
+    j.record_submission(
+        7, R"({"archs":"C1","benchmarks":"bfs","scale":"0.05","hotpath":2})");
+  }
+
+  StartServer(ServerOptions{});  // replays before accepting connections
+  const ServerStats s = server_->stats();
+  EXPECT_EQ(s.replayed, 0u);
+  EXPECT_EQ(s.journal_pending, 0u);
+  EXPECT_EQ(s.tasks_simulated, 0u);
+
+  const JsonValue fresh = connect().request(submit_request("C1", "bfs"));
+  EXPECT_TRUE(fresh.at("ok").as_bool());
+  EXPECT_GE(fresh.at("id").as_int(), 8);  // the retired id is not reused
+  connect().stream(verb_request("watch", fresh.at("id").as_int()),
+                   [](const std::string&, const JsonValue&) {});
+  EXPECT_EQ(server_->stats().tasks_simulated, 1u);
+}
+
 TEST_F(RobustServeTest, CompletedSubmissionRetiresItsJournalRecord) {
   StartServer(ServerOptions{});
   const JsonValue resp = connect().request(submit_request("C1", "bfs"));

@@ -66,5 +66,33 @@ TEST(Report, DetailedRunMatchesPlainRun) {
   EXPECT_EQ(run.cycles, detailed.cycles);
 }
 
+TEST(Report, FaultRunAboveSpecMarginOmitsPrediction) {
+  // fault_accel above the spec margin (20) takes the effective margin below
+  // analyze_reliability's minimum of 1: the run must still report its
+  // injected counts, without an analytic prediction.
+  const ArchSpec spec = make_arch(Architecture::kC1);
+  const workload::Workload w = workload::make_benchmark("bfs", 0.05);
+  for (const double accel : {20.0, 21.0}) {
+    RunOptions opts;
+    opts.faults.enabled = true;
+    opts.faults.accel = accel;
+    FaultSummary s;
+    opts.inspect = [&s](gpu::Gpu& g) { s = collect_fault_summary(g); };
+    gpu::RunResult run;
+    Metrics m;
+    ASSERT_NO_THROW(m = run_one_detailed(spec, w, run, opts)) << "accel " << accel;
+    ASSERT_TRUE(s.enabled);
+    EXPECT_GT(s.trials, 0u);
+    EXPECT_EQ(s.has_prediction(), accel <= 20.0) << "accel " << accel;
+
+    std::ostringstream os;
+    write_run_json(os, m, run, &s);
+    const std::string out = os.str();
+    EXPECT_NE(out.find("\"injected_collapses\""), std::string::npos);
+    EXPECT_EQ(out.find("\"predicted_collapses\"") != std::string::npos, accel <= 20.0)
+        << "accel " << accel;
+  }
+}
+
 }  // namespace
 }  // namespace sttgpu::sim

@@ -199,8 +199,6 @@ int cmd_run(const Config& cfg) {
 
   sim::RunOptions opts;
   opts.fast_forward = sim::knob_bool(cfg, kCmd, "fastforward");
-  opts.hotpath = static_cast<unsigned>(sim::knob_int(cfg, kCmd, "hotpath"));
-  opts.tick_jobs = static_cast<unsigned>(sim::knob_int(cfg, kCmd, "tick_jobs"));
   opts.faults = sim::fault_knobs(cfg, kCmd);
   opts.telemetry = tel.get();
   opts.cancel = &g_cancel;
@@ -243,10 +241,16 @@ int cmd_run(const Config& cfg) {
               << ", ecc " << (opts.faults.ecc ? "on" : "off") << "):\n"
               << "    lifetime trials     " << fault_summary.trials << "\n"
               << "    injected collapses  " << fault_summary.collapses << "\n"
-              << "    expected collapses  " << fault_summary.expected << "\n"
-              << "    predicted (analytic " << fault_summary.predicted
-              << " via analyze_reliability)\n"
-              << "    ecc corrected " << fault_summary.ecc_corrected << ", detected "
+              << "    expected collapses  " << fault_summary.expected << "\n";
+    if (fault_summary.has_prediction()) {
+      std::cout << "    predicted (analytic " << fault_summary.predicted
+                << " via analyze_reliability)\n";
+    } else {
+      std::cout << "    predicted (analytic n/a: effective spec margin "
+                << fault_summary.effective_spec_margin
+                << " < 1, outside analyze_reliability's domain)\n";
+    }
+    std::cout << "    ecc corrected " << fault_summary.ecc_corrected << ", detected "
               << fault_summary.ecc_detected << ", clean refetch "
               << fault_summary.clean_refetch << ", data loss "
               << fault_summary.data_loss << "\n"
@@ -273,8 +277,6 @@ int cmd_matrix(const Config& cfg) {
   opts.cache_path = sim::knob_string(cfg, kCmd, "cache");
   opts.jobs = sim::resolve_jobs(sim::knob_int(cfg, kCmd, "jobs"));
   opts.fast_forward = sim::knob_bool(cfg, kCmd, "fastforward");
-  opts.hotpath = static_cast<unsigned>(sim::knob_int(cfg, kCmd, "hotpath"));
-  opts.tick_jobs = static_cast<unsigned>(sim::knob_int(cfg, kCmd, "tick_jobs"));
   opts.faults = sim::fault_knobs(cfg, kCmd);
   opts.cancel = &g_cancel;
   opts.watchdog_s = sim::knob_double(cfg, kCmd, "watchdog");
@@ -327,8 +329,6 @@ int cmd_record(const Config& cfg) {
 
   sim::RunOptions opts;
   opts.fast_forward = sim::knob_bool(cfg, kCmd, "fastforward");
-  opts.hotpath = static_cast<unsigned>(sim::knob_int(cfg, kCmd, "hotpath"));
-  opts.tick_jobs = static_cast<unsigned>(sim::knob_int(cfg, kCmd, "tick_jobs"));
   opts.telemetry = tel.get();
   opts.cancel = &g_cancel;
   const sim::Metrics m = sim::record_trace(spec, w, path, opts);
