@@ -232,8 +232,9 @@ bool Sm::try_issue(unsigned warp, Cycle now, const SendTxnFn& send) {
 
   if (instr.kind == WarpInstr::Kind::kCompute) {
     ++stats_.issued_instructions;
+    const unsigned latency = instr.latency;  // reset() destroys instr
     ctx.pending.reset();
-    sleep_warp(warp, now + instr.latency);
+    sleep_warp(warp, now + latency);
     return true;
   }
 
@@ -242,8 +243,9 @@ bool Sm::try_issue(unsigned warp, Cycle now, const SendTxnFn& send) {
     // includes bank-conflict serialization.
     ++stats_.issued_instructions;
     ++stats_.shared_accesses;
+    const unsigned latency = std::max(1u, instr.latency);  // reset() destroys instr
     ctx.pending.reset();
-    sleep_warp(warp, now + std::max(1u, instr.latency));
+    sleep_warp(warp, now + latency);
     return true;
   }
 

@@ -56,6 +56,9 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
+/// A registry index stored as one byte of a submission's slice.
+std::size_t slice_index(char c) { return static_cast<unsigned char>(c); }
+
 int close_quiet(int fd) noexcept { return fd >= 0 ? ::close(fd) : 0; }
 
 /// Fairness identity of a connection. Unix-socket peers are keyed by
@@ -96,6 +99,7 @@ struct SweepServer::Impl {
     sim::Architecture arch_id{};
     std::string arch;
     std::string bench;
+    std::uint16_t pair = 0;  ///< registry pair index (see Impl::pair_index)
     std::uint64_t fp = 0;
     sim::RunOptions base;  ///< scale + simulation-shaping knobs, no hooks
     bool want_telemetry = false;
@@ -104,27 +108,64 @@ struct SweepServer::Impl {
     std::vector<std::uint64_t> waiters;   ///< submission ids awaiting the row
   };
 
-  struct Submission {
-    std::uint64_t id = 0;
-    std::uint64_t fp = 0;
-    double scale = 0.5;
-    std::string scale17;
-    sttl2::FaultInjectionConfig faults;
-    std::vector<std::pair<std::string, std::string>> pairs;  ///< (arch, bench)
+  enum class SubState : std::uint8_t { kRunning, kComplete, kFailed, kCancelled };
+  static const char* state_name(SubState s) {
+    static constexpr const char* kNames[] = {"running", "complete", "failed", "cancelled"};
+    return kNames[static_cast<int>(s)];
+  }
+
+  /// One watch line between a submission's "scheduled" and "complete"
+  /// lines. render_line rebuilds the NDJSON from it; text is kept only for
+  /// what cannot be derived.
+  struct Event {
+    enum class Kind : std::uint8_t { kStart, kDone, kFailed, kTelemetry };
+    Kind kind = Kind::kStart;
+    std::uint16_t pair = 0;        ///< registry pair index of the task
+    const char* status = nullptr;  ///< static status name (done/failed)
+    std::string text;  ///< done: the put row; failed: the error; telemetry: the line
+  };
+
+  /// What only a running submission needs; dropped when it completes.
+  struct Running {
     std::set<std::string> pending;  ///< outstanding task keys
-    std::size_t total = 0, hits = 0, simulated = 0, failed = 0;
+    sttl2::FaultInjectionConfig faults;
     bool touched_store = false;  ///< any task simulated → re-export the CSV
-    bool journaled = false;   ///< has an open journal record to retire
-    bool recovered = false;   ///< replayed from the journal after a restart
-    std::string state = "running";  ///< running|complete|failed|cancelled
-    bool complete = false;
-    std::vector<std::string> events;  ///< NDJSON backlog for watchers
+    bool journaled = false;      ///< has an open journal record to retire
+  };
+
+  /// Kept for the daemon's lifetime so every id keeps answering status,
+  /// watch, result and cancel — hence small: a finished pure-hit submission
+  /// is its map node and nothing else. The id is the map key.
+  struct Submission {
+    std::uint64_t fp = 0;
+    double scale = 0.5;  ///< scale_text(scale) re-derives the key's scale17
+    /// Registry indices, one byte each: the archs in request order, then
+    /// the benchmarks. The pairs are their cross product, arch-major.
+    std::string slice;
+    std::vector<Event> events;
+    std::unique_ptr<Running> live;  ///< null once terminal
+    std::uint16_t hits = 0, simulated = 0, failed = 0, scheduled = 0;
+    std::uint8_t n_archs = 0;
+    SubState state = SubState::kRunning;
+
+    std::size_t total() const { return n_archs * (slice.size() - n_archs); }
+    bool terminal() const { return state != SubState::kRunning; }
+    /// Watch lines so far: "scheduled", one per event, "complete" at the end.
+    std::size_t lines() const { return 1 + events.size() + (terminal() ? 1 : 0); }
   };
 
   explicit Impl(ServerOptions o)
-      : opts(std::move(o)), started_at(std::chrono::steady_clock::now()) {}
+      : opts(std::move(o)), started_at(std::chrono::steady_clock::now()) {
+    // Slices hold one byte per index and counters are 16 bits.
+    STTGPU_REQUIRE(arch_ids.size() * bench_names.size() <= 0xFFFF &&
+                       bench_names.size() <= 0xFF,
+                   "serve: arch/benchmark registry too large");
+  }
 
   ServerOptions opts;
+  /// Registry tables that slices and event records index into.
+  const std::vector<sim::Architecture> arch_ids = sim::all_architectures();
+  const std::vector<std::string> bench_names = workload::benchmark_names();
   std::unique_ptr<store::ResultStore> store;
   std::unique_ptr<Journal> journal;
   int unix_fd = -1;
@@ -230,53 +271,82 @@ struct SweepServer::Impl {
 
   // --- event plumbing (mu held) --------------------------------------------
 
-  void append_event_locked(Submission& sub, const std::string& line) {
-    sub.events.push_back(line);
+  std::uint16_t pair_index(std::size_t arch, std::size_t bench) const {
+    return static_cast<std::uint16_t>(arch * bench_names.size() + bench);
+  }
+  const char* arch_name(std::size_t arch) const { return sim::to_string(arch_ids[arch]); }
+
+  void record_locked(Submission& sub, Event e) {
+    sub.events.push_back(std::move(e));
     cv_events.notify_all();
   }
 
-  static std::string task_event(const char* event, const Task& t, const char* status,
-                                const std::string& detail_key,
-                                const std::string& detail) {
+  /// Line @p i of submission @p id's watch stream, the same bytes whether a
+  /// watcher follows it live or replays it after completion: "scheduled"
+  /// and "complete" come from the counters, the rest from the records.
+  std::string render_line(std::uint64_t id, const Submission& sub, std::size_t i) const {
+    const bool record = i >= 1 && i <= sub.events.size();
+    if (record && sub.events[i - 1].kind == Event::Kind::kTelemetry) {
+      return sub.events[i - 1].text;
+    }
+    const auto u64 = [](std::size_t n) { return static_cast<std::uint64_t>(n); };
     std::ostringstream os;
     JsonWriter w(os);
     w.begin_object();
-    w.key("event").value(event);
-    w.key("arch").value(t.arch);
-    w.key("benchmark").value(t.bench);
-    if (status != nullptr) w.key("status").value(status);
-    if (!detail_key.empty()) w.key(detail_key).value(detail);
+    if (record) {
+      static constexpr const char* kNames[] = {"start", "done", "failed"};
+      const Event& e = sub.events[i - 1];
+      w.key("event").value(kNames[static_cast<int>(e.kind)]);
+      w.key("arch").value(arch_name(e.pair / bench_names.size()));
+      w.key("benchmark").value(bench_names[e.pair % bench_names.size()]);
+      if (e.kind != Event::Kind::kStart) {
+        w.key("status").value(e.status);
+        w.key(e.kind == Event::Kind::kDone ? "row" : "error").value(e.text);
+      }
+    } else if (i == 0) {
+      w.key("event").value("scheduled");
+      w.key("id").value(id);
+      w.key("total").value(u64(sub.total()));
+      w.key("hits").value(u64(sub.hits));
+      w.key("scheduled").value(u64(sub.scheduled));
+      w.key("attached").value(u64(sub.total() - sub.hits - sub.scheduled));
+    } else {
+      w.key("event").value("complete");
+      w.key("id").value(id);
+      w.key("state").value(state_name(sub.state));
+      w.key("total").value(u64(sub.total()));
+      w.key("hits").value(u64(sub.hits));
+      w.key("simulated").value(u64(sub.simulated));
+      w.key("failed").value(u64(sub.failed));
+    }
     w.end_object();
     return os.str();
   }
 
-  std::string complete_event(const Submission& sub) const {
-    std::ostringstream os;
-    JsonWriter w(os);
-    w.begin_object();
-    w.key("event").value("complete");
-    w.key("id").value(sub.id);
-    w.key("state").value(sub.state);
-    w.key("total").value(static_cast<std::uint64_t>(sub.total));
-    w.key("hits").value(static_cast<std::uint64_t>(sub.hits));
-    w.key("simulated").value(static_cast<std::uint64_t>(sub.simulated));
-    w.key("failed").value(static_cast<std::uint64_t>(sub.failed));
-    w.end_object();
-    return os.str();
-  }
+  struct ExportJob {
+    std::uint64_t fp;
+    double scale;
+    sttl2::FaultInjectionConfig faults;
+  };
 
-  /// Marks @p sub terminal and emits its "complete" event. mu held.
-  void complete_submission_locked(Submission& sub) {
-    sub.complete = true;
-    if (sub.state == "running") sub.state = sub.failed > 0 ? "failed" : "complete";
-    append_event_locked(sub, complete_event(sub));
+  /// Marks @p sub terminal, which appends its "complete" line, and drops
+  /// its running-only state. Returns the CSV export the caller must perform
+  /// after releasing mu when a task of the submission touched the store.
+  std::optional<ExportJob> complete_submission_locked(std::uint64_t id, Submission& sub) {
+    if (sub.state == SubState::kRunning) {
+      sub.state = sub.failed > 0 ? SubState::kFailed : SubState::kComplete;
+    }
+    cv_events.notify_all();
+    const std::unique_ptr<Running> run = std::move(sub.live);
     // Retire the journal record only now — every row of the submission is
     // durably in the store (or accounted failed/cancelled), so a crash
     // after this point loses nothing that was promised.
-    if (sub.journaled && journal) journal->record_done(sub.id);
-    say("submission " + std::to_string(sub.id) + " " + sub.state + " (" +
+    if (run->journaled && journal) journal->record_done(id);
+    say("submission " + std::to_string(id) + " " + state_name(sub.state) + " (" +
         std::to_string(sub.hits) + " hits, " + std::to_string(sub.simulated) +
         " simulated, " + std::to_string(sub.failed) + " failed)");
+    if (!run->touched_store) return std::nullopt;
+    return ExportJob{sub.fp, sub.scale, run->faults};
   }
 
   // --- CSV export (call WITHOUT mu) ----------------------------------------
@@ -301,14 +371,6 @@ struct SweepServer::Impl {
 
   // --- task lifecycle ------------------------------------------------------
 
-  /// Records a finished task into every waiting submission. mu held.
-  /// Returns the (fp, scale, faults) export jobs for submissions that just
-  /// completed (performed by the caller after releasing mu).
-  struct ExportJob {
-    std::uint64_t fp;
-    double scale;
-    sttl2::FaultInjectionConfig faults;
-  };
   /// Removes @p t from the in-flight table iff it is still the registered
   /// task for its key — a cancelled task may have been replaced by a fresh
   /// one for the same config, which must not be evicted. mu held.
@@ -317,42 +379,48 @@ struct SweepServer::Impl {
     if (it != inflight.end() && it->second == t) inflight.erase(it);
   }
 
+  /// Records a finished task into every waiting submission. mu held.
+  /// Returns the export jobs for submissions that just completed (performed
+  /// by the caller after releasing mu).
   std::vector<ExportJob> finish_task_locked(const std::shared_ptr<Task>& t,
                                             const char* status,
                                             const std::string& error,
                                             const store::ResultRow* row) {
     drop_inflight_locked(t);
+    // Every waiter shares the task's key, so one put row serves them all.
+    const std::string text =
+        row != nullptr ? store::encode_put(t->fp, store::scale_text(t->base.scale), *row)
+                       : error;
     std::vector<ExportJob> exports;
     for (const std::uint64_t id : t->waiters) {
       const auto it = submissions.find(id);
-      if (it == submissions.end()) continue;
+      if (it == submissions.end() || !it->second.live) continue;
       Submission& sub = it->second;
-      sub.pending.erase(t->key);
+      sub.live->pending.erase(t->key);
       if (row != nullptr) {
         ++sub.simulated;
-        sub.touched_store = true;
-        append_event_locked(
-            sub, task_event("done", *t, status, "row",
-                            store::encode_put(t->fp, sub.scale17, *row)));
+        sub.live->touched_store = true;
+        record_locked(sub, {Event::Kind::kDone, t->pair, status, text});
       } else {
         ++sub.failed;
-        append_event_locked(sub, task_event("failed", *t, status, "error", error));
+        record_locked(sub, {Event::Kind::kFailed, t->pair, status, text});
       }
-      if (sub.pending.empty() && !sub.complete) {
-        complete_submission_locked(sub);
-        if (sub.touched_store) exports.push_back({sub.fp, sub.scale, sub.faults});
+      if (sub.live->pending.empty()) {
+        if (auto e = complete_submission_locked(id, sub)) exports.push_back(std::move(*e));
       }
     }
     return exports;
   }
 
-  /// Delivers one ready-made event line to every submission waiting on @p t.
+  /// Delivers one telemetry line to every submission waiting on @p t.
   /// Runs on the simulating/supervising thread.
-  void fan_out_event(const Task& t, const std::string& line) {
+  void fan_out_telemetry(const Task& t, const std::string& line) {
     std::lock_guard<std::mutex> lk(mu);
     for (const std::uint64_t id : t.waiters) {
       const auto it = submissions.find(id);
-      if (it != submissions.end()) append_event_locked(it->second, line);
+      if (it != submissions.end()) {
+        record_locked(it->second, {Event::Kind::kTelemetry, t.pair, nullptr, line});
+      }
     }
   }
 
@@ -380,7 +448,7 @@ struct SweepServer::Impl {
       if (t->want_telemetry) {
         tel = std::make_unique<Telemetry>(t->interval);
         tel->set_on_frame([this, &t](const Telemetry& T, std::size_t frame) {
-          fan_out_event(*t, telemetry_event_json(t->arch, t->bench, T, frame));
+          fan_out_telemetry(*t, telemetry_event_json(t->arch, t->bench, T, frame));
         });
         ro.telemetry = tel.get();
       }
@@ -445,7 +513,7 @@ struct SweepServer::Impl {
 
     const SandboxResult res =
         run_sandboxed(job, so, [this, t](const std::string& event) {
-          fan_out_event(*t, event);
+          fan_out_telemetry(*t, event);
         });
     n_child_kills.fetch_add(res.kills, std::memory_order_relaxed);
     n_child_crashes.fetch_add(res.crashes, std::memory_order_relaxed);
@@ -504,7 +572,7 @@ struct SweepServer::Impl {
         for (const std::uint64_t id : t->waiters) {
           const auto it = submissions.find(id);
           if (it != submissions.end()) {
-            append_event_locked(it->second, task_event("start", *t, nullptr, "", ""));
+            record_locked(it->second, {Event::Kind::kStart, t->pair, nullptr, {}});
           }
         }
       }
@@ -552,26 +620,37 @@ struct SweepServer::Impl {
     const std::int64_t interval = sim::knob_int(cfg, kCmd, "interval");
     STTGPU_REQUIRE(interval > 0, "interval= must be a positive cycle count");
 
-    std::vector<sim::Architecture> archs;
-    const std::string arch_csv = sim::knob_string(cfg, kCmd, "archs");
-    if (arch_csv.empty()) {
-      archs = sim::all_architectures();
-    } else {
-      for (const std::string& a : split_csv(arch_csv)) {
-        archs.push_back(sim::architecture_from_string(a));
+    // The slice as registry indices in request order, one byte each; an
+    // empty knob means the whole registry. A name given twice would make the
+    // submission wait on its own task, so it is refused like an unknown one.
+    const auto parse = [](const std::string& csv, std::size_t registry, const char* knob,
+                          const auto& find) {
+      std::string list;
+      for (const std::string& name : split_csv(csv)) {
+        const char index = static_cast<char>(find(name));
+        STTGPU_REQUIRE(list.find(index) == std::string::npos,
+                       std::string(knob) + "= names '" + name + "' more than once");
+        list.push_back(index);
       }
-    }
-    std::vector<std::string> benchmarks = split_csv(sim::knob_string(cfg, kCmd, "benchmarks"));
-    const std::vector<std::string> known = workload::benchmark_names();
-    if (benchmarks.empty()) {
-      benchmarks = known;
-    } else {
-      for (const std::string& b : benchmarks) {
-        STTGPU_REQUIRE(std::find(known.begin(), known.end(), b) != known.end(),
-                       "unknown benchmark '" + b + "' (see `sttgpu list`)");
+      if (list.empty()) {
+        for (std::size_t i = 0; i < registry; ++i) list.push_back(static_cast<char>(i));
       }
-    }
-
+      return list;
+    };
+    const std::string archs =
+        parse(sim::knob_string(cfg, kCmd, "archs"), arch_ids.size(), "archs",
+              [&](const std::string& a) {
+                const sim::Architecture id = sim::architecture_from_string(a);
+                return std::find(arch_ids.begin(), arch_ids.end(), id) - arch_ids.begin();
+              });
+    const std::string benchmarks =
+        parse(sim::knob_string(cfg, kCmd, "benchmarks"), bench_names.size(), "benchmarks",
+              [&](const std::string& b) {
+                const auto it = std::find(bench_names.begin(), bench_names.end(), b);
+                STTGPU_REQUIRE(it != bench_names.end(),
+                               "unknown benchmark '" + b + "' (see `sttgpu list`)");
+                return it - bench_names.begin();
+              });
     const std::uint64_t fp = sim::config_fingerprint(base.faults);
     const std::string scale17 = store::scale_text(base.scale);
     // The journal record is the options object as validated — serialized
@@ -590,13 +669,14 @@ struct SweepServer::Impl {
       // hold, how many fresh tasks this submission would enqueue — the
       // admission decision and the later mutation always agree.
       std::size_t would_schedule = 0, would_attach = 0;
-      for (const sim::Architecture a : archs) {
-        const std::string arch_name = sim::make_arch(a).name;
-        for (const std::string& bench : benchmarks) {
-          const std::string key = store::store_key(fp, scale17, arch_name, bench);
+      for (const char a : archs) {
+        const std::string arch = arch_name(slice_index(a));
+        for (const char b : benchmarks) {
+          const std::string& bench = bench_names[slice_index(b)];
+          const std::string key = store::store_key(fp, scale17, arch, bench);
           if (inflight.find(key) != inflight.end()) {
             ++would_attach;
-          } else if (!store->get(fp, base.scale, arch_name, bench)) {
+          } else if (!store->get(fp, base.scale, arch, bench)) {
             ++would_schedule;
           }
         }
@@ -627,39 +707,41 @@ struct SweepServer::Impl {
       if (journal_it) journal->record_submission(out.id, options_json);
 
       Submission& sub = submissions[out.id];
-      sub.id = out.id;
       sub.fp = fp;
       sub.scale = base.scale;
-      sub.scale17 = scale17;
-      sub.faults = base.faults;
-      sub.journaled = journal_it || recovered;
-      sub.recovered = recovered;
+      sub.slice = archs + benchmarks;
+      sub.n_archs = static_cast<std::uint8_t>(archs.size());
+      sub.live = std::make_unique<Running>();
+      Running& run = *sub.live;
+      run.faults = base.faults;
+      run.journaled = journal_it || recovered;
       // A replayed submission must republish the CSV even when every row is
       // already in the store — the crash may have landed before the export.
-      if (recovered) sub.touched_store = true;
-      for (const sim::Architecture a : archs) {
-        const std::string arch_name = sim::make_arch(a).name;
-        for (const std::string& bench : benchmarks) {
-          sub.pairs.emplace_back(arch_name, bench);
-          const std::string key = store::store_key(fp, scale17, arch_name, bench);
+      run.touched_store = recovered;
+      for (const char a : archs) {
+        const std::string arch = arch_name(slice_index(a));
+        for (const char b : benchmarks) {
+          const std::string& bench = bench_names[slice_index(b)];
+          const std::string key = store::store_key(fp, scale17, arch, bench);
           const auto live = inflight.find(key);
           if (live != inflight.end()) {
             live->second->waiters.push_back(out.id);
-            sub.pending.insert(key);
+            run.pending.insert(key);
             ++out.attached;
             n_attached.fetch_add(1, std::memory_order_relaxed);
             continue;
           }
-          if (store->get(fp, base.scale, arch_name, bench)) {
+          if (store->get(fp, base.scale, arch, bench)) {
             ++sub.hits;
             n_store_hits.fetch_add(1, std::memory_order_relaxed);
             continue;
           }
           auto t = std::make_shared<Task>();
           t->key = key;
-          t->arch_id = a;
-          t->arch = arch_name;
+          t->arch_id = arch_ids[slice_index(a)];
+          t->arch = arch;
           t->bench = bench;
+          t->pair = pair_index(slice_index(a), slice_index(b));
           t->fp = fp;
           t->base = base;
           t->want_telemetry = want_telemetry;
@@ -667,33 +749,18 @@ struct SweepServer::Impl {
           t->waiters.push_back(out.id);
           inflight.emplace(key, t);
           queue.push(client, std::move(t));
-          sub.pending.insert(key);
+          run.pending.insert(key);
           ++out.scheduled;
         }
       }
-      sub.total = sub.pairs.size();
-      out.total = sub.total;
+      sub.scheduled = static_cast<std::uint16_t>(out.scheduled);
+      out.total = sub.total();
       out.hits = sub.hits;
       n_submissions.fetch_add(1, std::memory_order_relaxed);
 
-      {
-        std::ostringstream os;
-        JsonWriter w(os);
-        w.begin_object();
-        w.key("event").value("scheduled");
-        w.key("id").value(out.id);
-        w.key("total").value(static_cast<std::uint64_t>(sub.total));
-        w.key("hits").value(static_cast<std::uint64_t>(sub.hits));
-        w.key("scheduled").value(static_cast<std::uint64_t>(out.scheduled));
-        w.key("attached").value(static_cast<std::uint64_t>(out.attached));
-        w.end_object();
-        append_event_locked(sub, os.str());
-      }
-      if (sub.pending.empty()) {
-        complete_submission_locked(sub);  // pure hit
-        if (sub.touched_store) replay_export = ExportJob{sub.fp, sub.scale, sub.faults};
-      }
-      say("submit " + std::to_string(out.id) + ": " + std::to_string(sub.total) +
+      // The "scheduled" line now exists; a pure hit is complete at once.
+      if (run.pending.empty()) replay_export = complete_submission_locked(out.id, sub);
+      say("submit " + std::to_string(out.id) + ": " + std::to_string(out.total) +
           " configs, " + std::to_string(sub.hits) + " store hits, " +
           std::to_string(out.scheduled) + " scheduled, " + std::to_string(out.attached) +
           " attached");
@@ -848,13 +915,14 @@ struct SweepServer::Impl {
     w.begin_object();
     w.key("protocol_version").value(kProtocolVersion);
     w.key("ok").value(true);
-    w.key("id").value(sub.id);
-    w.key("state").value(sub.state);
-    w.key("total").value(static_cast<std::uint64_t>(sub.total));
+    w.key("id").value(id);
+    w.key("state").value(state_name(sub.state));
+    w.key("total").value(static_cast<std::uint64_t>(sub.total()));
     w.key("hits").value(static_cast<std::uint64_t>(sub.hits));
     w.key("simulated").value(static_cast<std::uint64_t>(sub.simulated));
     w.key("failed").value(static_cast<std::uint64_t>(sub.failed));
-    w.key("pending").value(static_cast<std::uint64_t>(sub.pending.size()));
+    w.key("pending").value(
+        static_cast<std::uint64_t>(sub.live ? sub.live->pending.size() : 0));
     w.end_object();
     return os.str();
   }
@@ -867,13 +935,13 @@ struct SweepServer::Impl {
     STTGPU_REQUIRE(it != submissions.end(),
                    "no submission with id " + std::to_string(id));
     Submission& sub = it->second;
-    if (!sub.complete) {
+    if (sub.live) {
       // Detach from every outstanding task; a task nobody waits for any
       // more is cancelled (running: via its token at the next supervision
       // checkpoint; queued: skipped at pop). Tasks other submissions still
       // wait on keep running — cancelling one client never steals another
       // client's result.
-      for (const std::string& key : sub.pending) {
+      for (const std::string& key : sub.live->pending) {
         const auto task = inflight.find(key);
         if (task == inflight.end()) continue;
         auto& waiters = task->second->waiters;
@@ -886,18 +954,17 @@ struct SweepServer::Impl {
           inflight.erase(task);
         }
       }
-      sub.failed += sub.pending.size();
-      sub.pending.clear();
-      sub.state = "cancelled";
-      complete_submission_locked(sub);
+      sub.failed += static_cast<std::uint16_t>(sub.live->pending.size());
+      sub.state = SubState::kCancelled;
+      complete_submission_locked(id, sub);  // a cancel publishes no export
     }
     std::ostringstream os;
     JsonWriter w(os);
     w.begin_object();
     w.key("protocol_version").value(kProtocolVersion);
     w.key("ok").value(true);
-    w.key("id").value(sub.id);
-    w.key("state").value(sub.state);
+    w.key("id").value(id);
+    w.key("state").value(state_name(sub.state));
     w.end_object();
     return os.str();
   }
@@ -919,9 +986,14 @@ struct SweepServer::Impl {
       const Submission& sub = it->second;
       fp = sub.fp;
       scale = sub.scale;
-      scale17 = sub.scale17;
-      pairs = sub.pairs;
-      state = sub.state;
+      scale17 = store::scale_text(scale);
+      for (std::size_t a = 0; a < sub.n_archs; ++a) {
+        for (std::size_t b = sub.n_archs; b < sub.slice.size(); ++b) {
+          pairs.emplace_back(arch_name(slice_index(sub.slice[a])),
+                             bench_names[slice_index(sub.slice[b])]);
+        }
+      }
+      state = state_name(sub.state);
     } else {
       // Row lookup by (arch, benchmark, scale): the same registry rows the
       // CLI validates against, baseline (fault-free) fingerprint.
@@ -986,18 +1058,18 @@ struct SweepServer::Impl {
       w.end_object();
       write_frame(fd, os.str());
     }
-    // Replay the backlog, then follow live appends. The terminal "complete"
-    // event is always the last line; the client stops there.
+    // Render the backlog, then follow live appends. The terminal
+    // "complete" event is always the last line; the client stops there.
     std::size_t idx = 0;
     for (;;) {
       std::vector<std::string> batch;
       bool done = false;
       {
         std::unique_lock<std::mutex> lk(mu);
-        Submission& sub = submissions.at(id);
-        cv_events.wait(lk, [&] { return sub.events.size() > idx || sub.complete; });
-        while (idx < sub.events.size()) batch.push_back(sub.events[idx++]);
-        done = sub.complete && idx == sub.events.size();
+        const Submission& sub = submissions.at(id);
+        cv_events.wait(lk, [&] { return sub.lines() > idx; });
+        while (idx < sub.lines()) batch.push_back(render_line(id, sub, idx++));
+        done = sub.terminal();
       }
       for (const std::string& line : batch) write_event_line(fd, line);
       if (done) return;

@@ -3,8 +3,9 @@
 //
 // Clients connect over a unix socket (optionally loopback TCP) and speak
 // the length-framed JSON protocol (serve/protocol.hpp). Every submission —
-// a RunOptions-shaped config plus an (archs x benchmarks) slice — is
-// deduplicated three ways before any cycle is simulated:
+// a RunOptions-shaped config plus an (archs x benchmarks) slice naming each
+// arch and benchmark at most once — is deduplicated two ways before any
+// cycle is simulated:
 //
 //   1. against the crash-safe WAL result store, keyed by
 //      (config fingerprint, scale, arch, benchmark): rows simulated by any
@@ -12,8 +13,7 @@
 //      store hits;
 //   2. against the in-flight task table: two concurrent clients submitting
 //      overlapping matrices attach to the same task, so each unique config
-//      is simulated exactly once;
-//   3. within a submission (a degenerate case of 2).
+//      is simulated exactly once.
 //
 // Misses run on a persistent worker pool. With `sandbox` on (the default)
 // each simulation executes in a forked child (serve/sandbox.hpp): a run
@@ -42,7 +42,9 @@
 //
 // Subscribed `watch` clients receive newline-delimited JSON events:
 // scheduling, per-task start/done/failed, live telemetry frames (when the
-// submission asked for telemetry), and a terminal "complete". The `health`
+// submission asked for telemetry), and a terminal "complete". Submissions
+// keep small event records and render the lines on demand, so a replay
+// after completion is byte-identical to the live stream. The `health`
 // verb reports uptime, queue depth, in-flight tasks, shed/retry/child-kill
 // counters, and journal lag.
 //

@@ -330,6 +330,23 @@ TEST_F(RobustServeTest, JournaledSubmissionWithARemovedKnobIsRetired) {
   EXPECT_EQ(server_->stats().tasks_simulated, 1u);
 }
 
+TEST_F(RobustServeTest, JournaledSubmissionWithARepeatedNameIsRetired) {
+  // A record acknowledged before repeated names were refused. Its replay
+  // fails validation and retires the record like any unparseable one.
+  const std::string journal_path = Journal::derive_path(dir_.path + "/c.csv");
+  {
+    Journal j(journal_path);
+    j.record_submission(7, R"({"archs":"C1,C1","benchmarks":"bfs","scale":"0.05"})");
+  }
+
+  StartServer(ServerOptions{});  // replays before accepting connections
+  const ServerStats s = server_->stats();
+  EXPECT_EQ(s.replayed, 0u);
+  EXPECT_EQ(s.journal_pending, 0u);
+  EXPECT_EQ(s.queued + s.inflight, 0u);
+  ExpectServerAlive();
+}
+
 TEST_F(RobustServeTest, CompletedSubmissionRetiresItsJournalRecord) {
   StartServer(ServerOptions{});
   const JsonValue resp = connect().request(submit_request("C1", "bfs"));

@@ -185,6 +185,24 @@ TEST_F(ServeTest, RejectsProtocolMismatchAndUnknownKnobs) {
   }
 }
 
+TEST_F(ServeTest, RepeatedArchOrBenchmarkIsRejected) {
+  // A name given twice would make the submission wait on its own task:
+  // two starts for one task and a second done after the complete line.
+  const std::pair<const char*, const char*> slices[] = {{"C1,C1", "bfs"},
+                                                        {"C1", "bfs,nw,bfs"}};
+  for (const auto& [archs, benchmarks] : slices) {
+    try {
+      connect().request(submit_request(archs, benchmarks));
+      FAIL() << "expected SimError for archs=" << archs << " benchmarks=" << benchmarks;
+    } catch (const SimError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("more than once"), std::string::npos) << msg;
+    }
+  }
+  EXPECT_EQ(server_->stats().submissions, 0u);
+  EXPECT_EQ(server_->stats().queued, 0u);
+}
+
 TEST_F(ServeTest, SecondServerOnTheSameSocketFailsToBind) {
   ServerOptions so;
   so.socket_path = server_->socket_path();
