@@ -3,6 +3,7 @@
 // (fastforward=0).
 //
 //   ./micro_sim_throughput [scale=1.0] [reps=3] [json=BENCH_sim_throughput.json]
+//                          [revision=$(git rev-parse --short HEAD)]
 //
 // Two workloads bracket the design space:
 //   - drain-heavy: a sparse kernel (few warps, random DRAM-missing stream,
@@ -15,11 +16,13 @@
 // Every (workload, mode) pair is also checked for identical simulated cycle
 // counts and instruction counts — the fast-forward must not change results.
 // Output: a human-readable table plus a machine-readable JSON file for CI
-// trend tracking.
+// trend tracking, which records the host (CPU model, hardware threads,
+// compiler) and the source revision the numbers belong to.
 #include <chrono>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/config.hpp"
@@ -86,6 +89,18 @@ Sample measure(const sim::ArchSpec& spec, const workload::Workload& w, unsigned 
   return best;
 }
 
+/// The "model name" line of /proc/cpuinfo; "unknown" where there is none.
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
 struct Row {
   std::string workload;
   Sample off;
@@ -100,6 +115,7 @@ int main(int argc, char** argv) {
   const double scale = cfg.get_double("scale", 1.0);
   const unsigned reps = static_cast<unsigned>(cfg.get_int("reps", 3));
   const std::string json_path = cfg.get_string("json", "BENCH_sim_throughput.json");
+  const std::string revision = cfg.get_string("revision", "unknown");
 
   struct Case {
     std::string name;
@@ -152,6 +168,12 @@ int main(int argc, char** argv) {
   w.key("bench").value("sim_throughput");
   w.key("scale").value(scale);
   w.key("reps").value(reps);
+  w.key("revision").value(revision);
+  w.key("host").begin_object();
+  w.key("cpu").value(cpu_model());
+  w.key("hardware_threads").value(std::thread::hardware_concurrency());
+  w.key("compiler").value(std::string(__VERSION__));
+  w.end_object();
   w.key("rows").begin_array();
   for (const Row& r : rows) {
     w.begin_object();

@@ -38,7 +38,11 @@ void DramChannel::read(Addr addr, std::uint64_t cookie, Cycle now) {
   // decides the access latency added on top.
   express_reads_ += pipe_.backlog(now) == 0 ? 1 : 0;
   const Cycle ready = pipe_.admit(now) + access_latency(addr);
-  pending_.push_back({ready, cookie});
+  if (open_page_) {
+    pending_.push_back({ready, cookie});
+  } else {
+    fifo_.push_back({ready, cookie});
+  }
   if (ready < min_ready_) min_ready_ = ready;
   ++reads_;
 }
@@ -51,6 +55,16 @@ void DramChannel::write(Addr addr, Cycle now) {
 }
 
 void DramChannel::deliver_due(Cycle now) {
+  if (!open_page_) {
+    // A callback may issue a new read(); it lands behind the due entries.
+    while (!fifo_.empty() && fifo_.front().ready <= now) {
+      const Pending p = fifo_.front();
+      fifo_.pop_front();
+      on_read_done_(p.cookie, now);
+    }
+    min_ready_ = fifo_.empty() ? kNoCycle : fifo_.front().ready;
+    return;
+  }
   // Open-page hits can complete before earlier row misses; scan the small
   // pending window rather than assuming FIFO completion order. The scan and
   // swap-remove order are unchanged from the unconditional version, so the

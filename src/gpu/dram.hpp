@@ -13,6 +13,7 @@
 #include <vector>
 #include <functional>
 
+#include "common/ring_queue.hpp"
 #include "common/types.hpp"
 #include "gpu/gpu_config.hpp"
 #include "gpu/pipe.hpp"
@@ -62,7 +63,7 @@ class DramChannel {
   std::uint64_t queued_reads() const noexcept { return reads_ - express_reads_; }
   std::uint64_t row_hits() const noexcept { return row_hits_; }
   std::uint64_t row_misses() const noexcept { return row_misses_; }
-  bool idle() const noexcept { return pending_.empty(); }
+  bool idle() const noexcept { return fifo_.empty() && pending_.empty(); }
 
  private:
   struct Pending {
@@ -75,8 +76,13 @@ class DramChannel {
 
   ThroughputPipe pipe_;
   ReadCallback on_read_done_;
-  std::vector<Pending> pending_;  // small unordered window (open-page reorders)
-  Cycle min_ready_ = kNoCycle;    // min over pending_ ready cycles
+  // Closed page: ready = admit() + a constant latency, and admits are
+  // monotone, so completions leave in admission order from a FIFO. Open
+  // page: a row hit can finish before an earlier miss, so completions sit in
+  // a small unordered window that is scanned.
+  RingQueue<Pending> fifo_;
+  std::vector<Pending> pending_;
+  Cycle min_ready_ = kNoCycle;  // earliest pending completion
   std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;
   std::uint64_t express_reads_ = 0;

@@ -32,18 +32,15 @@ Gpu::Gpu(const GpuConfig& config, L2BankFactory& l2_factory)
   senders_.reserve(config_.num_sms);
   for (unsigned s = 0; s < config_.num_sms; ++s) {
     sms_.push_back(std::make_unique<Sm>(s, config_, /*seed=*/1000 + s));
-    senders_.push_back([this, s](Addr addr, bool is_store) -> std::uint64_t {
-      const std::uint64_t id = next_request_id_++;
+    senders_.push_back([this, s](Addr addr, bool is_store, std::uint8_t tag) {
       L2Request req;
-      req.id = id;
       req.addr = addr;
       req.is_store = is_store;
+      req.tag = tag;
       req.sm_id = s;
-      req.created = now_;
       const unsigned b = bank_of(addr);
       const Cycle arrival = icnt_.send_request(b, req, now_);
       if (arrival < bank_lane_[b]) bank_lane_[b] = arrival;
-      return id;
     });
   }
   // Everything is "due" at cycle 0; the first tick_due() recomputes each lane.
@@ -110,7 +107,10 @@ std::string Gpu::state_dump() const {
 
 void Gpu::telemetry_sample(Cycle at) {
   tel_->begin_frame(at);
-  for (const auto& sm : sms_) sm->sample_telemetry(*tel_);
+  for (const auto& sm : sms_) {
+    sm->settle(at);
+    sm->sample_telemetry(*tel_);
+  }
   for (auto& bank : banks_) bank->sample_telemetry(at, *tel_);
   for (unsigned c = 0; c < dram_.size(); ++c) dram_[c]->sample_telemetry(c, *tel_);
   icnt_.sample_telemetry(*tel_);
@@ -190,13 +190,10 @@ void Gpu::tick_due() {
   }
 
   for (unsigned s = 0; s < sms_.size(); ++s) {
-    if (sm_lane_[s] > now_) {
-      // No response arrival, no sleeper due, and either no ready warp or a
-      // clean stall: cycle() would only apply idle/stall accounting, which
-      // this replicates exactly.
-      sms_[s]->account_skipped_cycles(1);
-      continue;
-    }
+    // Not due: no response arrival, no sleeper due, and either no ready warp
+    // or a clean stall. cycle() would only count an idle or stall cycle,
+    // which the SM settles at its next tick (Sm::settle).
+    if (sm_lane_[s] > now_) continue;
     icnt_.deliver_responses(s, now_, [&](const L2Response& resp) {
       sms_[s]->on_response(resp, now_, senders_[s]);
     });
@@ -229,21 +226,17 @@ void Gpu::fast_forward() {
   }
   // Every skipped cycle is provably a no-op: no packet arrives, no bank has
   // input or a maturing deadline, no warp is ready or due to wake — the only
-  // architected effect of stepping through them would be SM idle accounting.
-  // Interval boundaries inside (now_, next] are walked in closed form: the
-  // plain loop samples when its post-increment now_ reaches tel_next_, i.e.
-  // after processing cycle tel_next_-1 — inside this gap that state is
-  // exactly "idle accounting applied up to the boundary". Boundary == next
-  // is included (the plain loop samples there before executing cycle next);
-  // account_skipped_cycles is linear, so the split sums to next - now_.
-  Cycle cur = now_;
+  // architected effect of stepping through them would be SM idle/stall
+  // accounting, which each SM settles lazily. Interval boundaries inside
+  // (now_, next] are sampled in closed form: the plain loop samples when its
+  // post-increment now_ reaches tel_next_, i.e. after processing cycle
+  // tel_next_-1 — inside this gap that state is exactly "accounting settled
+  // up to the boundary", which telemetry_sample() applies. Boundary == next
+  // is included (the plain loop samples there before executing cycle next).
   while (tel_next_ <= next) {
-    for (auto& sm : sms_) sm->account_skipped_cycles(tel_next_ - cur);
-    cur = tel_next_;
-    telemetry_sample(cur);
+    telemetry_sample(tel_next_);
     tel_next_ += tel_interval_;
   }
-  for (auto& sm : sms_) sm->account_skipped_cycles(next - cur);
   now_ = next;
 }
 
@@ -284,6 +277,7 @@ void Gpu::run_kernel(const workload::KernelSpec& kernel, std::uint64_t seed) {
   const std::uint64_t warps_in_grid =
       static_cast<std::uint64_t>(kernel.grid_blocks) * kernel.warps_per_block();
   for (unsigned s = 0; s < config_.num_sms; ++s) {
+    sms_[s]->settle(now_);
     sms_[s]->start_kernel(kernel, std::move(queues[s]), occ.blocks_per_sm, warps_in_grid,
                           seed);
   }
@@ -312,7 +306,7 @@ void Gpu::run_kernel(const workload::KernelSpec& kernel, std::uint64_t seed) {
 
   // Inter-kernel boundary: L1s are flushed (no coherence across launches).
   const Cycle drain_start = now_;
-  for (unsigned s = 0; s < config_.num_sms; ++s) sms_[s]->flush_l1(now_, senders_[s]);
+  for (unsigned s = 0; s < config_.num_sms; ++s) sms_[s]->flush_l1(senders_[s]);
   drain_memory();
   if (tel_ != nullptr && now_ > drain_start) {
     tel_->slice("drain", kernel.name, drain_start, now_);

@@ -80,6 +80,7 @@ class Gpu {
 
   /// Direct access for tests / benches needing implementation details.
   L2Bank& bank(unsigned i) { return *banks_[i]; }
+  const Sm& sm(unsigned i) const { return *sms_[i]; }
   unsigned num_banks() const noexcept { return static_cast<unsigned>(banks_.size()); }
   const GpuConfig& config() const noexcept { return config_; }
 
@@ -109,15 +110,15 @@ class Gpu {
 
   /// Event-driven fast-forward: if every component's next event lies in the
   /// future, jump now_ straight to the earliest one (skipped cycles would
-  /// have been pure no-ops except SM idle accounting, which is applied).
-  /// No-op when config_.fast_forward is off or an event is due now.
-  /// When telemetry is attached, interval boundaries inside the skipped
-  /// stretch are walked in closed form: each boundary gets the SM idle
-  /// accounting up to it and a sample at exactly the cycle the plain loop
-  /// would have sampled, so the series is identical in both modes.
+  /// have been pure no-ops except SM idle/stall accounting, which each SM
+  /// settles lazily). No-op when config_.fast_forward is off or an event is
+  /// due now. When telemetry is attached, interval boundaries inside the
+  /// skipped stretch are sampled at exactly the cycle the plain loop would
+  /// have sampled, so the series is identical in both modes.
   void fast_forward();
 
-  /// Opens a telemetry frame at @p at and polls every component.
+  /// Opens a telemetry frame at @p at and polls every component, settling
+  /// each SM's idle/stall accounting up to @p at first.
   void telemetry_sample(Cycle at);
 
   /// Supervision point: publishes the cycle-count heartbeat and unwinds
@@ -162,7 +163,6 @@ class Gpu {
   // so the unsupervised run loop pays a single integer compare).
   Cycle sup_next_ = kNoCycle;  ///< next supervision point
 
-  std::uint64_t next_request_id_ = 1;
   std::vector<L2Response> response_scratch_;
   std::vector<SendTxnFn> senders_;  ///< one bound sender per SM
 

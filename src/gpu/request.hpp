@@ -9,18 +9,20 @@
 namespace sttgpu::gpu {
 
 /// One 128-byte memory transaction headed to (or answered by) an L2 bank.
+/// A response is routed by sm_id and matched by addr; `tag` carries the
+/// issuing SM's per-transaction bits, which the memory side echoes back
+/// unread, so the SM keeps no per-transaction table.
 struct L2Request {
-  std::uint64_t id = 0;   ///< GPU-global request id (routes the response)
   Addr addr = 0;          ///< transaction address (128B aligned)
   bool is_store = false;
+  std::uint8_t tag = 0;   ///< opaque to the memory side
   unsigned sm_id = 0;
-  Cycle created = 0;
 };
 
 struct L2Response {
-  std::uint64_t id = 0;
   Addr addr = 0;
   bool is_store = false;
+  std::uint8_t tag = 0;   ///< the request's tag
   unsigned sm_id = 0;
   Cycle ready = 0;        ///< cycle the bank finished the access
 };

@@ -14,6 +14,12 @@ using workload::WarpInstr;
 namespace {
 /// Cycles from "last awaited response arrived" to the warp being schedulable.
 constexpr Cycle kWakeLatency = 4;
+
+// Transaction tag (L2Request::tag): the memory space of a load in the low
+// bits, plus a flag for an L1 dirty writeback, which uses no store credit.
+constexpr std::uint8_t kWritebackTag = 0x80;
+
+std::uint8_t space_tag(MemSpace space) { return static_cast<std::uint8_t>(space); }
 }  // namespace
 
 Sm::Sm(unsigned id, const GpuConfig& config, std::uint64_t seed)
@@ -32,8 +38,10 @@ void Sm::start_kernel(const workload::KernelSpec& kernel, std::deque<unsigned> b
   warps_per_block_ = kernel.warps_per_block();
 
   warps_.assign(static_cast<std::size_t>(resident_blocks) * warps_per_block_, WarpCtx{});
+  hot_.assign(warps_.size(), WarpHot{});
   block_live_warps_.assign(resident_blocks, 0);
   ready_bits_.assign((warps_.size() + 63) / 64, 0);
+  walk_bits_.assign(ready_bits_.size(), 0);
   ready_count_ = 0;
   stall_clean_ = false;
   while (!sleep_heap_.empty()) sleep_heap_.pop();
@@ -56,14 +64,12 @@ void Sm::launch_block(unsigned slot, Cycle /*now*/) {
         static_cast<std::uint64_t>(block_id) * warps_per_block_ + w;
     ctx.stream.emplace(kernel_, warp_global, warps_in_grid_, workload_seed_);
     ctx.pending.reset();
-    ctx.state = WarpState::kReady;
-    ctx.ready_at = 0;
-    ctx.awaiting = 0;
     ctx.block_slot = slot;
+    hot_[idx] = WarpHot{.state = WarpState::kReady};
     set_ready(idx);
-    // A launch during cycle()'s issue loop must add the fresh warps to the
-    // tail of this cycle's candidate list (they are issue candidates right
-    // away); outside the loop the scratch is rebuilt before use anyway.
+    // A launch during cycle()'s issue walk adds the fresh warps to the tail
+    // of this cycle's candidates (they are issue candidates right away);
+    // outside the walk the scratch is cleared before use anyway.
     issue_order_.push_back(idx);
     ++active_warps_;
   }
@@ -74,29 +80,29 @@ void Sm::wake_due(Cycle now) {
   while (!sleep_heap_.empty() && sleep_heap_.top().first <= now) {
     const unsigned warp = sleep_heap_.top().second;
     sleep_heap_.pop();
-    WarpCtx& ctx = warps_[warp];
+    WarpHot& hot = hot_[warp];
     // Stale entries can exist if a warp was re-slept; only the entry whose
     // time matches wakes it.
-    if (ctx.state == WarpState::kSleeping && ctx.ready_at <= now) {
-      ctx.state = WarpState::kReady;
+    if (hot.state == WarpState::kSleeping && hot.ready_at <= now) {
+      hot.state = WarpState::kReady;
       set_ready(warp);
     }
   }
 }
 
 void Sm::sleep_warp(unsigned warp, Cycle until) {
-  WarpCtx& ctx = warps_[warp];
+  WarpHot& hot = hot_[warp];
   clear_ready(warp);
-  ctx.state = WarpState::kSleeping;
-  ctx.ready_at = until;
+  hot.state = WarpState::kSleeping;
+  hot.ready_at = until;
   sleep_heap_.emplace(until, warp);
 }
 
 void Sm::finish_warp(unsigned warp, Cycle now) {
   WarpCtx& ctx = warps_[warp];
-  STTGPU_ASSERT(ctx.state != WarpState::kInactive);
+  STTGPU_ASSERT(hot_[warp].state != WarpState::kInactive);
   clear_ready(warp);
-  ctx.state = WarpState::kInactive;
+  hot_[warp].state = WarpState::kInactive;
   ctx.stream.reset();
   STTGPU_ASSERT(active_warps_ > 0);
   --active_warps_;
@@ -106,23 +112,35 @@ void Sm::finish_warp(unsigned warp, Cycle now) {
   }
 }
 
-void Sm::append_ready_range(unsigned lo, unsigned hi) {
-  if (lo >= hi) return;
+bool Sm::try_candidate(unsigned warp, Cycle now, const SendTxnFn& send) {
+  const WarpHot& hot = hot_[warp];
+  if (hot.state != WarpState::kReady || issue_precheck_fails(hot)) return false;
+  if (!try_issue(warp, now, send)) return false;
+  last_issued_ = static_cast<int>(warp);
+  return true;
+}
+
+bool Sm::walk_range(unsigned lo, unsigned hi, Cycle now, const SendTxnFn& send) {
+  if (lo >= hi) return false;
   const unsigned first = lo >> 6;
   const unsigned last = (hi - 1) >> 6;
   for (unsigned wi = first; wi <= last; ++wi) {
-    std::uint64_t m = ready_bits_[wi];
+    std::uint64_t m = walk_bits_[wi];
     if (wi == first) m &= ~std::uint64_t{0} << (lo & 63u);
     const unsigned word_end = (wi + 1) * 64u;
     if (word_end > hi) m &= ~std::uint64_t{0} >> (word_end - hi);
     while (m != 0) {
-      issue_order_.push_back(wi * 64u + static_cast<unsigned>(std::countr_zero(m)));
+      const unsigned warp = wi * 64u + static_cast<unsigned>(std::countr_zero(m));
       m &= m - 1;
+      if (try_candidate(warp, now, send)) return true;
     }
   }
+  return false;
 }
 
 void Sm::cycle(Cycle now, const SendTxnFn& send) {
+  settle(now);
+  settled_ = now + 1;
   // Inline fast path for the common no-sleeper-due case; wake_due's loop
   // keeps the compiler from inlining it wholesale.
   if (!sleep_heap_.empty() && sleep_heap_.top().first <= now) wake_due(now);
@@ -137,38 +155,33 @@ void Sm::cycle(Cycle now, const SendTxnFn& send) {
     return;
   }
 
-  // Candidate ordering per scheduler policy, rebuilt from the ready bitmap:
-  // ascending slot order IS the GTO oldest-first sort, and the circular walk
-  // starting just past the last issued warp IS the LRR rotated sort. NOTE:
-  // try_issue may finish a warp, which can launch a new block — launch_block
-  // then appends the fresh warps to issue_order_, so they become candidates
-  // at the tail of this cycle exactly as before.
+  // The candidates are the warps ready now, in policy order, then the warps
+  // a block launch adds during the walk (issue_order_). Ascending slot order
+  // IS the GTO oldest-first sort, and the circular walk starting just past
+  // the last issued warp IS the LRR rotated sort. try_issue may finish a
+  // warp, which can relaunch its block slot: the fresh warps reuse the slot's
+  // indices and are candidates again at the tail, even when their index was
+  // already visited (or is still ahead) in the snapshot.
+  std::copy(ready_bits_.begin(), ready_bits_.end(), walk_bits_.begin());
   issue_order_.clear();
-  const unsigned n = static_cast<unsigned>(warps_.size());
-  if (config_->scheduler == SchedulerKind::kLrr && last_issued_ >= 0) {
-    const unsigned start = (static_cast<unsigned>(last_issued_) + 1) % n;
-    append_ready_range(start, n);
-    append_ready_range(0, start);
-  } else {
-    append_ready_range(0, n);
-  }
   bool issued = false;
-
   if (config_->scheduler == SchedulerKind::kGto && last_issued_ >= 0) {
     const unsigned greedy = static_cast<unsigned>(last_issued_);
-    if (is_ready(greedy) && warps_[greedy].state == WarpState::kReady &&
-        !issue_precheck_fails(warps_[greedy]) && try_issue(greedy, now, send)) {
-      issued = true;
+    const WarpHot& hot = hot_[greedy];
+    issued = hot.state == WarpState::kReady && !issue_precheck_fails(hot) &&
+             try_issue(greedy, now, send);
+  }
+  if (!issued) {
+    const unsigned n = static_cast<unsigned>(warps_.size());
+    if (config_->scheduler == SchedulerKind::kLrr && last_issued_ >= 0) {
+      const unsigned start = (static_cast<unsigned>(last_issued_) + 1) % n;
+      issued = walk_range(start, n, now, send) || walk_range(0, start, now, send);
+    } else {
+      issued = walk_range(0, n, now, send);
     }
   }
   for (std::size_t i = 0; !issued && i < issue_order_.size(); ++i) {
-    const unsigned warp = issue_order_[i];
-    const WarpCtx& ctx = warps_[warp];
-    if (ctx.state != WarpState::kReady || issue_precheck_fails(ctx)) continue;
-    if (try_issue(warp, now, send)) {
-      issued = true;
-      last_issued_ = static_cast<int>(warp);
-    }
+    issued = try_candidate(issue_order_[i], now, send);
   }
 
   if (!issued && ready_count_ > 0) {
@@ -179,47 +192,26 @@ void Sm::cycle(Cycle now, const SendTxnFn& send) {
     // the smallest per-kind transaction need so on_response() can tell
     // whether a freed credit can actually unstick anything: a walk failing
     // means every candidate is a non-shared load/store (anything else would
-    // have issued), so the two mins cover the whole candidate set.
+    // have issued), so the two mins cover the whole candidate set. Only a
+    // candidate can be ready now, so the ready set is the surviving one.
     stall_clean_ = true;
     stall_load_need_ = kNoNeed;
     stall_store_need_ = kNoNeed;
-    for (const unsigned warp : issue_order_) {
-      const WarpCtx& ctx = warps_[warp];
-      if (ctx.state != WarpState::kReady) continue;
-      STTGPU_ASSERT(ctx.pending.has_value());
-      const WarpInstr& instr = *ctx.pending;
-      const unsigned need = static_cast<unsigned>(instr.transactions.size());
-      if (instr.kind == WarpInstr::Kind::kLoad) {
-        stall_load_need_ = need < stall_load_need_ ? need : stall_load_need_;
-      } else {
-        stall_store_need_ = need < stall_store_need_ ? need : stall_store_need_;
+    for (unsigned wi = 0; wi < ready_bits_.size(); ++wi) {
+      for (std::uint64_t m = ready_bits_[wi]; m != 0; m &= m - 1) {
+        const WarpHot& hot = hot_[wi * 64u + static_cast<unsigned>(std::countr_zero(m))];
+        STTGPU_ASSERT(hot.pending == PendingKind::kLoad || hot.pending == PendingKind::kStore);
+        unsigned& need = hot.pending == PendingKind::kLoad ? stall_load_need_ : stall_store_need_;
+        need = hot.txns < need ? hot.txns : need;
       }
     }
   }
 }
 
-// Mirrors try_issue's structural prechecks for a warp whose pending
-// instruction is already materialized: a true return means try_issue would
-// fail those same checks before touching any state, so the call (and its
-// overhead) can be skipped on the issue walk. Warps without a materialized
-// instruction must go through try_issue (it may finish the warp or issue).
-bool Sm::issue_precheck_fails(const WarpCtx& ctx) const noexcept {
-  if (!ctx.pending) return false;
-  const WarpInstr& instr = *ctx.pending;
-  if (instr.kind == WarpInstr::Kind::kCompute || instr.space == MemSpace::kShared) {
-    return false;
-  }
-  const unsigned n = static_cast<unsigned>(instr.transactions.size());
-  if (instr.kind == WarpInstr::Kind::kLoad) {
-    return inflight_loads_ + n > config_->max_outstanding_load_txn ||
-           mshr_.size() + n > config_->l1_mshr_entries;
-  }
-  return inflight_stores_ + n > config_->max_outstanding_store_txn;
-}
-
 bool Sm::try_issue(unsigned warp, Cycle now, const SendTxnFn& send) {
   WarpCtx& ctx = warps_[warp];
-  STTGPU_ASSERT(ctx.state == WarpState::kReady);
+  WarpHot& hot = hot_[warp];
+  STTGPU_ASSERT(hot.state == WarpState::kReady);
 
   if (!ctx.pending) {
     if (ctx.stream->done()) {
@@ -227,6 +219,14 @@ bool Sm::try_issue(unsigned warp, Cycle now, const SendTxnFn& send) {
       return false;
     }
     ctx.pending = ctx.stream->next();
+    const WarpInstr& next = *ctx.pending;
+    if (next.kind == WarpInstr::Kind::kCompute || next.space == MemSpace::kShared) {
+      hot.pending = PendingKind::kFree;
+    } else {
+      hot.pending = next.kind == WarpInstr::Kind::kLoad ? PendingKind::kLoad
+                                                         : PendingKind::kStore;
+      hot.txns = static_cast<std::uint16_t>(next.transactions.size());
+    }
   }
   const WarpInstr& instr = *ctx.pending;
 
@@ -234,6 +234,7 @@ bool Sm::try_issue(unsigned warp, Cycle now, const SendTxnFn& send) {
     ++stats_.issued_instructions;
     const unsigned latency = instr.latency;  // reset() destroys instr
     ctx.pending.reset();
+    hot.pending = PendingKind::kNone;
     sleep_warp(warp, now + latency);
     return true;
   }
@@ -245,6 +246,7 @@ bool Sm::try_issue(unsigned warp, Cycle now, const SendTxnFn& send) {
     ++stats_.shared_accesses;
     const unsigned latency = std::max(1u, instr.latency);  // reset() destroys instr
     ctx.pending.reset();
+    hot.pending = PendingKind::kNone;
     sleep_warp(warp, now + latency);
     return true;
   }
@@ -281,15 +283,15 @@ bool Sm::try_issue(unsigned warp, Cycle now, const SendTxnFn& send) {
         mshr_[line].push_back(warp);
         ++awaiting;
       }
-      const std::uint64_t id = send(line, /*is_store=*/false);
-      inflight_meta_[id] = TxnMeta{line, instr.space, false, false};
+      send(line, /*is_store=*/false, space_tag(instr.space));
       ++inflight_loads_;
     }
     ctx.pending.reset();
+    hot.pending = PendingKind::kNone;
     if (awaiting > 0) {
-      ctx.awaiting = awaiting;
+      hot.awaiting = awaiting;
       clear_ready(warp);
-      ctx.state = WarpState::kBlocked;
+      hot.state = WarpState::kBlocked;
     } else {
       sleep_warp(warp, now + config_->l1_hit_latency);
     }
@@ -306,30 +308,24 @@ bool Sm::try_issue(unsigned warp, Cycle now, const SendTxnFn& send) {
     ++stats_.store_transactions;
     const L1Outcome out = l1_.access(line, WarpInstr::Kind::kStore, instr.space, now);
     if (out.send_write) {
-      const std::uint64_t id = send(line, /*is_store=*/true);
-      inflight_meta_[id] = TxnMeta{line, instr.space, true, false};
+      send(line, /*is_store=*/true, space_tag(instr.space));
       ++inflight_stores_;
     }
-    for (const Addr wb : out.writebacks) send_writeback(wb, now, send);
+    for (const Addr wb : out.writebacks) send_writeback(wb, send);
   }
   ctx.pending.reset();
+  hot.pending = PendingKind::kNone;
   sleep_warp(warp, now + 1);  // stores retire into the memory system
   return true;
 }
 
-void Sm::send_writeback(Addr addr, Cycle /*now*/, const SendTxnFn& send) {
-  const std::uint64_t id = send(addr, /*is_store=*/true);
-  inflight_meta_[id] = TxnMeta{addr, MemSpace::kLocal, true, true};
+void Sm::send_writeback(Addr addr, const SendTxnFn& send) {
+  send(addr, /*is_store=*/true, kWritebackTag | space_tag(MemSpace::kLocal));
 }
 
 void Sm::process_response(const L2Response& response, Cycle now, const SendTxnFn& send) {
-  const TxnMeta* it = inflight_meta_.find(response.id);
-  STTGPU_ASSERT_MSG(it != nullptr, "Sm: response for unknown request");
-  const TxnMeta meta = *it;
-  inflight_meta_.erase(response.id);
-
-  if (meta.is_store) {
-    if (!meta.is_writeback) {
+  if (response.is_store) {
+    if ((response.tag & kWritebackTag) == 0) {
       STTGPU_ASSERT(inflight_stores_ > 0);
       --inflight_stores_;
     }
@@ -339,18 +335,20 @@ void Sm::process_response(const L2Response& response, Cycle now, const SendTxnFn
   // Load fill: install in L1 and wake every merged waiter.
   STTGPU_ASSERT(inflight_loads_ > 0);
   --inflight_loads_;
+  // A load's address is its L1 line (the fill key).
+  const Addr line = response.addr;
   writeback_scratch_.clear();
-  l1_.fill(meta.line_addr, meta.space, now, writeback_scratch_);
-  for (const Addr wb : writeback_scratch_) send_writeback(wb, now, send);
+  l1_.fill(line, static_cast<MemSpace>(response.tag), now, writeback_scratch_);
+  for (const Addr wb : writeback_scratch_) send_writeback(wb, send);
 
-  auto* mit = mshr_.find(meta.line_addr);
+  auto* mit = mshr_.find(line);
   if (mit != nullptr) {  // else: duplicate fetch (merge overflow) case
     const auto waiters = std::move(*mit);
-    mshr_.erase(meta.line_addr);
+    mshr_.erase(line);
     for (const unsigned warp : waiters) {
-      WarpCtx& ctx = warps_[warp];
-      STTGPU_ASSERT(ctx.state == WarpState::kBlocked && ctx.awaiting > 0);
-      if (--ctx.awaiting == 0) sleep_warp(warp, now + kWakeLatency);
+      WarpHot& hot = hot_[warp];
+      STTGPU_ASSERT(hot.state == WarpState::kBlocked && hot.awaiting > 0);
+      if (--hot.awaiting == 0) sleep_warp(warp, now + kWakeLatency);
     }
   }
 }
@@ -380,8 +378,8 @@ void Sm::on_response(const L2Response& response, Cycle now, const SendTxnFn& sen
   recheck_stall();
 }
 
-void Sm::flush_l1(Cycle now, const SendTxnFn& send) {
-  for (const Addr wb : l1_.flush()) send_writeback(wb, now, send);
+void Sm::flush_l1(const SendTxnFn& send) {
+  for (const Addr wb : l1_.flush()) send_writeback(wb, send);
 }
 
 void Sm::sample_telemetry(Telemetry& out) const {

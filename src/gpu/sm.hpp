@@ -33,8 +33,9 @@ class Telemetry;
 
 namespace sttgpu::gpu {
 
-/// Emits one 128B transaction toward the L2; returns the global request id.
-using SendTxnFn = std::function<std::uint64_t(Addr addr, bool is_store)>;
+/// Emits one 128B transaction toward the L2. @p tag comes back unchanged in
+/// the response (L2Response::tag).
+using SendTxnFn = std::function<void(Addr addr, bool is_store, std::uint8_t tag)>;
 
 struct SmStats {
   std::uint64_t issued_instructions = 0;
@@ -70,7 +71,7 @@ class Sm {
   void on_response(const L2Response& response, Cycle now, const SendTxnFn& send);
 
   /// End-of-kernel L1 flush; dirty local lines go to L2 as writes.
-  void flush_l1(Cycle now, const SendTxnFn& send);
+  void flush_l1(const SendTxnFn& send);
 
   /// In-flight transactions this SM is still waiting on (loads + stores).
   unsigned inflight() const noexcept { return inflight_loads_ + inflight_stores_; }
@@ -92,17 +93,24 @@ class Sm {
     return kNoCycle;
   }
 
-  /// Accounts @p skipped fast-forwarded cycles exactly as the per-cycle loop
-  /// would have. Ready warps during a skip imply a clean stall (that is the
-  /// only way next_event_cycle() lets a skip happen), where cycle() would
-  /// count a stall cycle; otherwise no warp is ready and — with live warps —
-  /// cycle() would count an idle cycle.
-  void account_skipped_cycles(Cycle skipped) noexcept {
+  /// Applies the idle/stall accounting of the cycles in [settled, @p upto)
+  /// for which cycle() was not called, exactly as cycle() would have counted
+  /// them. A caller may skip an SM's tick only when it is not due (see
+  /// next_event_cycle()), and only cycle() and start_kernel() change whether
+  /// warps are ready or live (on_response() never does), so every skipped
+  /// cycle has the state the last tick left: ready warps mean a clean stall,
+  /// where cycle() counts a stall cycle; otherwise, with live warps, it counts
+  /// an idle cycle. cycle() settles itself; a caller that skips ticks settles
+  /// before it reads the counters mid-kernel and before start_kernel(). Once
+  /// kernel_done(), no live warp is left, so there is nothing to settle.
+  void settle(Cycle upto) noexcept {
+    const Cycle skipped = upto - settled_;
     if (ready_count_ > 0) {
       stats_.stall_cycles += skipped;
     } else if (active_warps_ > 0) {
       stats_.idle_cycles += skipped;
     }
+    settled_ = upto;
   }
 
   /// Contributes this SM's counter tracks ("smN.instructions", ...) to the
@@ -117,21 +125,30 @@ class Sm {
  private:
   enum class WarpState : std::uint8_t { kInactive, kReady, kSleeping, kBlocked };
 
-  struct WarpCtx {
-    std::optional<workload::WarpStream> stream;
-    std::optional<workload::WarpInstr> pending;
-    WarpState state = WarpState::kInactive;
-    Cycle ready_at = 0;
-    unsigned awaiting = 0;   ///< load transactions outstanding
-    unsigned block_slot = 0;
+  /// Summary of a warp's materialized instruction: all the issue precheck
+  /// and the stall bookkeeping need to know about it.
+  enum class PendingKind : std::uint8_t {
+    kNone,   ///< nothing materialized
+    kFree,   ///< compute or shared: never fails a precheck
+    kLoad,   ///< global/local/constant/texture load of `txns` transactions
+    kStore,  ///< store of `txns` transactions
   };
 
-  /// Bookkeeping for one in-flight L2 transaction.
-  struct TxnMeta {
-    Addr line_addr = 0;            ///< L1-line address (fill key), loads only
-    workload::MemSpace space = workload::MemSpace::kGlobal;
-    bool is_store = false;
-    bool is_writeback = false;     ///< L1 dirty eviction (uses no credit)
+  /// The per-warp fields the issue walk, the wake and the precheck read,
+  /// packed 16 bytes per warp apart from the cold WarpCtx.
+  struct WarpHot {
+    Cycle ready_at = 0;
+    std::uint32_t awaiting = 0;  ///< load transactions outstanding
+    WarpState state = WarpState::kInactive;
+    PendingKind pending = PendingKind::kNone;
+    std::uint16_t txns = 0;
+  };
+  static_assert(sizeof(WarpHot) == 16);
+
+  struct WarpCtx {
+    std::optional<workload::WarpStream> stream;
+    std::optional<workload::WarpInstr> pending;  ///< summarized in WarpHot
+    unsigned block_slot = 0;
   };
 
   void launch_block(unsigned slot, Cycle now);
@@ -140,18 +157,36 @@ class Sm {
   /// now passes its prechecks with the live credit/MSHR levels.
   void recheck_stall() noexcept;
   void wake_due(Cycle now);
-  bool issue_precheck_fails(const WarpCtx& ctx) const noexcept;
+  /// Mirrors try_issue's structural prechecks for a warp whose pending
+  /// instruction is already materialized: a true return means try_issue
+  /// would fail those same checks before touching any state, so the call
+  /// (and its overhead) can be skipped on the issue walk. Warps without a
+  /// materialized instruction must go through try_issue (it may finish the
+  /// warp or issue). Defined here: the walk runs it for every candidate.
+  bool issue_precheck_fails(const WarpHot& hot) const noexcept {
+    const unsigned n = hot.txns;
+    if (hot.pending == PendingKind::kLoad) {
+      return inflight_loads_ + n > config_->max_outstanding_load_txn ||
+             mshr_.size() + n > config_->l1_mshr_entries;
+    }
+    if (hot.pending == PendingKind::kStore) {
+      return inflight_stores_ + n > config_->max_outstanding_store_txn;
+    }
+    return false;
+  }
+  /// Issues @p warp if it is a ready candidate that passes its prechecks.
+  bool try_candidate(unsigned warp, Cycle now, const SendTxnFn& send);
+  /// Tries the candidates of walk_bits_ with index in [lo, hi), ascending,
+  /// until one issues.
+  bool walk_range(unsigned lo, unsigned hi, Cycle now, const SendTxnFn& send);
   bool try_issue(unsigned warp, Cycle now, const SendTxnFn& send);
   void sleep_warp(unsigned warp, Cycle until);
   void finish_warp(unsigned warp, Cycle now);
-  void send_writeback(Addr addr, Cycle now, const SendTxnFn& send);
+  void send_writeback(Addr addr, const SendTxnFn& send);
 
   // The ready set is a packed bitmap (one bit per warp slot), kept exactly
   // in sync with WarpState::kReady. Iterating set bits ascending reproduces
   // the old sorted-vector candidate order without the per-cycle sort.
-  bool is_ready(unsigned warp) const noexcept {
-    return ((ready_bits_[warp >> 6] >> (warp & 63u)) & 1u) != 0;
-  }
   void set_ready(unsigned warp) noexcept {
     std::uint64_t& word = ready_bits_[warp >> 6];
     const std::uint64_t bit = std::uint64_t{1} << (warp & 63u);
@@ -170,8 +205,6 @@ class Sm {
       --ready_count_;
     }
   }
-  /// Appends the ready warps with index in [lo, hi) to issue_order_.
-  void append_ready_range(unsigned lo, unsigned hi);
 
   unsigned id_;
   const GpuConfig* config_;
@@ -185,6 +218,7 @@ class Sm {
   std::uint64_t workload_seed_ = 0;
   unsigned warps_per_block_ = 0;
   std::vector<WarpCtx> warps_;
+  std::vector<WarpHot> hot_;  ///< parallel to warps_
   std::vector<unsigned> block_live_warps_;  ///< per resident slot
   unsigned active_warps_ = 0;
 
@@ -193,7 +227,13 @@ class Sm {
   std::priority_queue<SleepEntry, std::vector<SleepEntry>, std::greater<>> sleep_heap_;
   std::vector<std::uint64_t> ready_bits_;  ///< packed kReady set, one bit per warp
   unsigned ready_count_ = 0;               ///< population count of ready_bits_
-  std::vector<unsigned> issue_order_;      ///< per-cycle candidate scratch
+  /// The ready set as the walk began: the walk's candidates, visited in
+  /// policy order, followed by issue_order_.
+  std::vector<std::uint64_t> walk_bits_;
+  /// Warps a block launch made ready during this cycle's walk, in launch
+  /// order. A relaunched slot reuses its warp indices, so an index can be
+  /// both in walk_bits_ and here; it is then a candidate twice.
+  std::vector<unsigned> issue_order_;
   int last_issued_ = -1;  // GTO greedy preference
   /// The last cycle() walk stalled (ready warps, none issuable) and nothing
   /// has changed since: a failed walk is a pure check — every candidate has
@@ -216,11 +256,11 @@ class Sm {
   // Memory-side state
   SmallVec<Addr, 2> writeback_scratch_;     ///< per-fill eviction scratch
   FlatU64Map<SmallVec<unsigned, 8>> mshr_;  ///< line -> waiting warps
-  FlatU64Map<TxnMeta> inflight_meta_;       ///< req id -> meta
   unsigned inflight_loads_ = 0;   ///< primary load transactions in flight
   unsigned inflight_stores_ = 0;  ///< store transactions in flight
 
   SmStats stats_;
+  Cycle settled_ = 0;  ///< idle/stall accounting applied to cycles below this
 };
 
 }  // namespace sttgpu::gpu

@@ -314,29 +314,33 @@ std::vector<Metrics> run_matrix(const std::vector<Architecture>& archs,
 
   // Lay out the result slots up front: results are collected by slot index,
   // so the returned order is (arch, benchmark) regardless of completion
-  // order or thread count.
+  // order or thread count. Pending rows are dispatched benchmark-major: a
+  // row's host cost depends on its benchmark far more than on its
+  // architecture, so this keeps the copies of an expensive benchmark from
+  // queueing together at the end behind the last architecture.
   struct Pending {
     std::size_t slot;
     ArchSpec spec;
     std::string benchmark;
   };
+  std::vector<ArchSpec> specs;
+  for (const Architecture arch : archs) specs.push_back(make_arch(arch));
   std::vector<Metrics> rows(archs.size() * benchmarks.size());
   std::vector<Pending> pending;
-  std::size_t slot = 0;
-  for (const Architecture arch : archs) {
-    const ArchSpec spec = make_arch(arch);
-    for (const std::string& name : benchmarks) {
+  for (std::size_t b = 0; b < benchmarks.size(); ++b) {
+    for (std::size_t a = 0; a < specs.size(); ++a) {
+      const std::size_t slot = a * benchmarks.size() + b;
+      const std::string& name = benchmarks[b];
       // Prefill the identity columns so a quarantined (keep_going) or
       // interrupted slot still says which (arch, benchmark) it was.
-      rows[slot].arch = spec.name;
+      rows[slot].arch = specs[a].name;
       rows[slot].benchmark = name;
-      const auto hit = db ? db->get(fp, scale, spec.name, name) : std::nullopt;
+      const auto hit = db ? db->get(fp, scale, specs[a].name, name) : std::nullopt;
       if (hit) {
         rows[slot] = from_store_row(*hit);
       } else {
-        pending.push_back(Pending{slot, spec, name});
+        pending.push_back(Pending{slot, specs[a], name});
       }
-      ++slot;
     }
   }
 

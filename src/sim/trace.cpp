@@ -87,7 +87,6 @@ ReplayResult replay_impl(const std::vector<TraceRecord>& records, FactoryT& fact
                    [](const TraceRecord& a, const TraceRecord& b) { return a.cycle < b.cycle; });
 
   std::vector<gpu::L2Response> responses;
-  std::uint64_t next_id = 1;
   Cycle now = 0;
   std::size_t i = 0;
   const auto all_idle = [&] {
@@ -104,11 +103,9 @@ ReplayResult replay_impl(const std::vector<TraceRecord>& records, FactoryT& fact
     while (i < sorted.size() && sorted[i].cycle <= now) {
       const TraceRecord& r = sorted[i];
       gpu::L2Request req;
-      req.id = next_id++;
       req.addr = r.addr;
       req.is_store = r.is_store;
       req.sm_id = r.sm;
-      req.created = now;
       // Replay is open-loop: if the bank input is momentarily full, we stall
       // the whole feed to the next cycle (preserves order).
       if (!banks[r.bank]->accepting()) break;

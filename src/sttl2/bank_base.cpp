@@ -130,9 +130,9 @@ const BankBase::Waiters& BankBase::take_waiters(Addr line) {
 
 void BankBase::respond(const gpu::L2Request& request, Cycle ready) {
   gpu::L2Response resp;
-  resp.id = request.id;
   resp.addr = request.addr;
   resp.is_store = request.is_store;
+  resp.tag = request.tag;
   resp.sm_id = request.sm_id;
   resp.ready = ready;
   responses_.push_back(resp);

@@ -27,16 +27,15 @@ class BankHarness {
   BankT& bank() { return *bank_; }
   Cycle now() const { return now_; }
 
-  /// Sends one request into the bank at the current cycle.
-  std::uint64_t send(Addr addr, bool is_store) {
+  /// Sends one request into the bank at the current cycle. Requests are
+  /// numbered in sm_id, which a bank echoes into the response unread.
+  unsigned send(Addr addr, bool is_store) {
     gpu::L2Request req;
-    req.id = next_id_++;
     req.addr = addr;
     req.is_store = is_store;
-    req.sm_id = 0;
-    req.created = now_;
+    req.sm_id = next_id_++;
     bank_->enqueue(req, now_);
-    return req.id;
+    return req.sm_id;
   }
 
   /// Advances @p cycles, collecting responses.
@@ -58,9 +57,9 @@ class BankHarness {
   std::vector<gpu::L2Response>& responses() { return responses_; }
 
   /// True if a response for @p id has been collected.
-  bool responded(std::uint64_t id) const {
+  bool responded(unsigned id) const {
     for (const auto& r : responses_) {
-      if (r.id == id) return true;
+      if (r.sm_id == id) return true;
     }
     return false;
   }
@@ -72,7 +71,7 @@ class BankHarness {
   std::unique_ptr<gpu::DramChannel> dram_;
   std::unique_ptr<BankT> bank_;
   Cycle now_ = 0;
-  std::uint64_t next_id_ = 1;
+  unsigned next_id_ = 1;
   std::vector<gpu::L2Response> responses_;
 };
 

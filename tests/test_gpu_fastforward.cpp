@@ -2,8 +2,8 @@
 // idle-cycle jump): equivalence with the plain per-cycle reference loop
 // (fastforward=0) — every reported metric must be byte-identical, also with
 // fault injection, with a telemetry sink attached and across GPU shapes
-// (HotpathEquivalence) — plus unit tests of each component's
-// next_event_cycle().
+// (HotpathEquivalence), per SM and per telemetry frame (LazySettlement) —
+// plus unit tests of each component's next_event_cycle().
 #include <gtest/gtest.h>
 
 #include <string>
@@ -261,6 +261,68 @@ TEST(HotpathEquivalence, TwoPartBankWithAllEventSources) {
   }
 }
 
+/// Runs @p w with a telemetry sink of period @p interval on a uniform SRAM
+/// bank and returns the Gpu's per-SM counters next to the series.
+struct SettledRun {
+  std::vector<SmStats> sms;
+  RunResult result;
+};
+
+SettledRun run_settled(const GpuConfig& cfg, const workload::Workload& w, Telemetry& tel) {
+  sttl2::UniformBankConfig bank;
+  bank.capacity_bytes = 64 * 1024;
+  sttl2::UniformBankFactory factory(bank, cfg.clock());
+  GpuConfig c = cfg;
+  c.telemetry = &tel;
+  Gpu gpu(c, factory);
+  SettledRun out;
+  out.result = gpu.run(w);
+  for (unsigned s = 0; s < c.num_sms; ++s) out.sms.push_back(gpu.sm(s).stats());
+  return out;
+}
+
+void expect_same_series(const Telemetry& a, const Telemetry& b) {
+  ASSERT_EQ(a.frame_count(), b.frame_count());
+  for (std::size_t f = 0; f < a.frame_count(); ++f) {
+    EXPECT_EQ(a.frame_cycle(f), b.frame_cycle(f)) << "frame " << f;
+  }
+  ASSERT_EQ(a.track_count(), b.track_count());
+  for (std::size_t t = 0; t < a.track_count(); ++t) {
+    EXPECT_EQ(a.track_name(t), b.track_name(t));
+    EXPECT_EQ(a.track_samples(t), b.track_samples(t)) << a.track_name(t);
+  }
+}
+
+// Skipped SMs settle their idle/stall accounting lazily: at their next tick,
+// at every telemetry boundary and at kernel start. Per SM and per
+// frame, the result must be the plain loop's. The sparse kernel's memory
+// waits are far longer than the 97-cycle interval, so boundaries fall inside
+// fast-forward jumps; the two-kernel workload starts its second kernel after
+// a drain in which the SMs are not ticked.
+TEST(LazySettlement, PerSmCountersAndEveryFrameMatchThePlainLoop) {
+  workload::Workload two_kernels = sparse_workload();
+  two_kernels.kernels.push_back(tiny_workload().kernels.front());
+  two_kernels.kernels.push_back(sparse_workload().kernels.front());
+  for (const bool multi : {false, true}) {
+    const workload::Workload w = multi ? two_kernels : sparse_workload();
+    for (const Shape& s : kShapes) {
+      SCOPED_TRACE(shape_label(s, multi ? "sparse+tiny+sparse" : "sparse"));
+      Telemetry tel_off(97);
+      Telemetry tel_on(97);
+      const SettledRun off = run_settled(shaped_config(s, false), w, tel_off);
+      const SettledRun on = run_settled(shaped_config(s, true), w, tel_on);
+      expect_identical(off.result, on.result);
+      ASSERT_EQ(off.sms.size(), on.sms.size());
+      for (std::size_t i = 0; i < off.sms.size(); ++i) {
+        EXPECT_EQ(off.sms[i].idle_cycles, on.sms[i].idle_cycles) << "sm" << i;
+        EXPECT_EQ(off.sms[i].stall_cycles, on.sms[i].stall_cycles) << "sm" << i;
+      }
+      EXPECT_GT(tel_on.frame_count(), 10u);
+      expect_same_series(tel_off, tel_on);
+    }
+  }
+}
+
 TEST(NextEventCycle, DramChannelEmptyThenPending) {
   GpuConfig cfg;
   std::uint64_t done_cookie = 0;
@@ -288,7 +350,6 @@ TEST(NextEventCycle, InterconnectTracksArrivalsAndInFlight) {
   EXPECT_EQ(icnt.next_event_cycle(), kNoCycle);
 
   L2Request req;
-  req.id = 1;
   req.addr = 0x100;
   icnt.send_request(0, req, /*now=*/5);
   EXPECT_FALSE(icnt.idle());
@@ -307,8 +368,8 @@ TEST(NextEventCycle, SmWithNoKernelHasNoEvents) {
   GpuConfig cfg;
   Sm sm(0, cfg, /*seed=*/1);
   EXPECT_EQ(sm.next_event_cycle(), kNoCycle);
-  // Skipped-cycle accounting is a no-op without active warps.
-  sm.account_skipped_cycles(100);
+  // Settling skipped cycles is a no-op without active warps.
+  sm.settle(100);
   EXPECT_EQ(sm.stats().idle_cycles, 0u);
 }
 

@@ -1,8 +1,9 @@
 // Direct unit tests of the SM core: issue/credit behaviour, MSHR merging,
-// block refill and L1 flush — driven without the rest of the GPU via a
-// capturing send function.
+// block refill, L1 flush and the issue walk's candidate order — driven
+// without the rest of the GPU via a capturing send function.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <map>
 
 #include "gpu/sm.hpp"
@@ -11,18 +12,16 @@ namespace sttgpu::gpu {
 namespace {
 
 struct SentTxn {
-  std::uint64_t id;
   Addr addr;
   bool is_store;
+  std::uint8_t tag;
 };
 
 class SmTest : public ::testing::Test {
  protected:
   SmTest() : sm_(0, cfg_, 7) {
-    send_ = [this](Addr addr, bool is_store) -> std::uint64_t {
-      const std::uint64_t id = next_id_++;
-      sent_.push_back({id, addr, is_store});
-      return id;
+    send_ = [this](Addr addr, bool is_store, std::uint8_t tag) {
+      sent_.push_back({addr, is_store, tag});
     };
   }
 
@@ -55,9 +54,9 @@ class SmTest : public ::testing::Test {
     txns.swap(sent_);
     for (const SentTxn& t : txns) {
       L2Response resp;
-      resp.id = t.id;
       resp.addr = t.addr;
       resp.is_store = t.is_store;
+      resp.tag = t.tag;
       resp.sm_id = 0;
       resp.ready = now_;
       sm_.on_response(resp, now_, send_);
@@ -72,7 +71,6 @@ class SmTest : public ::testing::Test {
   Sm sm_;
   SendTxnFn send_;
   std::vector<SentTxn> sent_;
-  std::uint64_t next_id_ = 1;
   Cycle now_ = 0;
 };
 
@@ -164,7 +162,7 @@ TEST_F(SmTest, LocalStoresStayInL1UntilFlush) {
   }
   ASSERT_TRUE(sm_.kernel_done());
   const std::size_t before_flush = sent_.size();
-  sm_.flush_l1(now_, send_);
+  sm_.flush_l1(send_);
   // The flush emits the dirty local lines as L2 writes.
   EXPECT_GT(sent_.size(), before_flush);
   for (std::size_t i = before_flush; i < sent_.size(); ++i) {
@@ -195,6 +193,118 @@ TEST_F(SmTest, GtoPrefersTheLastIssuedWarp) {
   // every cycle once warmed up.
   run_cycles(30);
   EXPECT_GT(sm_.stats().issued_instructions, 25u);
+}
+
+/// FNV-1a over the little-endian bytes of @p v.
+std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffu;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct WalkTrace {
+  Cycle cycles = 0;
+  std::uint64_t instructions = 0;
+  std::uint64_t stall_cycles = 0;
+  std::uint64_t idle_cycles = 0;
+  std::uint64_t digest = 0;  ///< every send and every issue, with its cycle
+};
+
+/// One-warp blocks through 8 slots with a 96-block queue: a warp finishes
+/// after 5 instructions and its slot relaunches at the same warp index,
+/// often in the middle of an issue walk (for GTO, also inside the greedy
+/// attempt). Tight credits make walks fail and go deep; each transaction
+/// is answered 20-26 cycles after it was sent.
+WalkTrace run_relaunch_walk(SchedulerKind sched) {
+  GpuConfig cfg;
+  cfg.scheduler = sched;
+  cfg.max_outstanding_load_txn = 6;
+  cfg.max_outstanding_store_txn = 3;
+  Sm sm(0, cfg, 7);
+  workload::KernelSpec k;
+  k.name = "relaunch";
+  k.grid_blocks = 96;
+  k.threads_per_block = 32;
+  k.regs_per_thread = 8;
+  k.instructions_per_warp = 5;
+  k.compute_latency = 3;
+  k.mem_fraction = 0.6;
+  k.store_fraction = 0.3;
+  k.pattern.kind = workload::PatternKind::kRandom;
+  k.pattern.footprint_bytes = 64 * 1024;
+  k.pattern.reuse_fraction = 0.3;
+  k.pattern.wws_lines = 16;
+  std::deque<unsigned> blocks;
+  for (unsigned b = 0; b < k.grid_blocks; ++b) blocks.push_back(b);
+  sm.start_kernel(k, std::move(blocks), 8, k.grid_blocks, 42);
+
+  struct InFlight {
+    Cycle due;
+    SentTxn txn;
+  };
+  std::vector<InFlight> inflight;
+  WalkTrace t;
+  t.digest = 1469598103934665603ull;
+  Cycle now = 0;
+  const SendTxnFn send = [&](Addr addr, bool is_store, std::uint8_t tag) {
+    t.digest = mix(mix(mix(t.digest, now), addr), is_store);
+    inflight.push_back({now + 20 + (addr >> 7) % 7, {addr, is_store, tag}});
+  };
+  std::uint64_t issued = 0;
+  for (; (!sm.kernel_done() || !inflight.empty()) && now < 200000; ++now) {
+    std::vector<SentTxn> due;
+    for (auto it = inflight.begin(); it != inflight.end();) {
+      if (it->due <= now) {
+        due.push_back(it->txn);
+        it = inflight.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    for (const SentTxn& d : due) {
+      L2Response resp;
+      resp.addr = d.addr;
+      resp.is_store = d.is_store;
+      resp.tag = d.tag;
+      resp.ready = now;
+      sm.on_response(resp, now, send);
+    }
+    sm.cycle(now, send);
+    if (sm.stats().issued_instructions != issued) {
+      issued = sm.stats().issued_instructions;
+      t.digest = mix(mix(t.digest, now), issued);
+    }
+  }
+  t.cycles = now;
+  t.instructions = sm.stats().issued_instructions;
+  t.stall_cycles = sm.stats().stall_cycles;
+  t.idle_cycles = sm.stats().idle_cycles;
+  return t;
+}
+
+// The candidate order of the issue walk, pinned to the values of the
+// per-cycle candidate-list implementation it replaced. A warp index can be a
+// candidate twice in one walk: at its slot position and, after its block
+// relaunched during the walk, at the tail. Dropping either occurrence
+// reorders issue and changes these numbers.
+TEST(SmIssueWalk, GtoCandidateOrderAcrossMidWalkRelaunches) {
+  const WalkTrace t = run_relaunch_walk(SchedulerKind::kGto);
+  EXPECT_EQ(t.instructions, 96u * 5u);
+  EXPECT_EQ(t.cycles, 918u);
+  EXPECT_EQ(t.stall_cycles, 311u);
+  EXPECT_EQ(t.idle_cycles, 119u);
+  EXPECT_EQ(t.digest, 0xcd86ec7600623182ull);
+}
+
+TEST(SmIssueWalk, LrrCandidateOrderAcrossMidWalkRelaunches) {
+  const WalkTrace t = run_relaunch_walk(SchedulerKind::kLrr);
+  EXPECT_EQ(t.instructions, 96u * 5u);
+  EXPECT_EQ(t.cycles, 910u);
+  EXPECT_EQ(t.stall_cycles, 291u);
+  EXPECT_EQ(t.idle_cycles, 130u);
+  EXPECT_EQ(t.digest, 0xae506ae716d03bb0ull);
 }
 
 }  // namespace
